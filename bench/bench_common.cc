@@ -285,35 +285,19 @@ adjustedCoverageAccuracy(const RunResult &cdp_run,
     return ca;
 }
 
-namespace
-{
-
-/**
- * Everything the baseline miss count can depend on. Workload name +
- * size alone is not enough: benches override run lengths, seeds, and
- * cache/TLB geometry per experiment, and a memo keyed too narrowly
- * silently returns a denominator from a different machine.
- */
-std::string
-baselineKey(const SimConfig &base, const std::string &workload)
-{
-    std::ostringstream os;
-    os << workload << "/seed" << base.workloadSeed << "/w"
-       << base.warmupUops << "/m" << base.measureUops << "/l1."
-       << base.mem.l1Bytes << "." << base.mem.l1Ways << "/l2."
-       << base.mem.l2Bytes << "." << base.mem.l2Ways << "/tlb."
-       << base.mem.dtlbEntries << "." << base.mem.dtlbWays << "/bus."
-       << base.mem.busLatency << "." << base.mem.busOccupancy;
-    return os.str();
-}
-
-} // namespace
-
 std::uint64_t
 missesWithoutPrefetching(const SimConfig &base,
                          const std::string &workload)
 {
-    const std::string key = baselineKey(base, workload);
+    SimConfig cfg = base;
+    cfg.workload = workload;
+    cfg.cdp.enabled = false;
+    cfg.stride.enabled = false;
+    cfg.markov.enabled = false;
+    // The memo key is the whole configuration that runs: a key that
+    // omits a knob silently returns a denominator from another
+    // machine.
+    const std::string key = cfg.summary();
     std::promise<std::uint64_t> promise;
     std::shared_future<std::uint64_t> future;
     bool owner = false;
@@ -330,11 +314,6 @@ missesWithoutPrefetching(const SimConfig &base,
     }
     if (owner) {
         try {
-            SimConfig cfg = base;
-            cfg.workload = workload;
-            cfg.cdp.enabled = false;
-            cfg.stride.enabled = false;
-            cfg.markov.enabled = false;
             const RunResult r = runWhole(cfg);
             ++g_baselines.computations;
             promise.set_value(r.mem.l2DemandMisses);

@@ -158,8 +158,8 @@ adjustedCoverageAccuracy(const cdp::RunResult &cdp_run,
 /**
  * Misses of @p workload with every prefetcher off (the denominator
  * of the coverage metric). Memoized per process behind a
- * shared_future keyed on the full relevant configuration (workload,
- * seed, run lengths, cache/TLB geometry): safe to call from any
+ * shared_future keyed on the summary() of the exact configuration it
+ * runs: safe to call from any
  * worker thread, and concurrent requests for the same baseline run
  * the simulation exactly once while the rest block on the shared
  * result.

@@ -57,6 +57,8 @@ struct AdaptiveVamConfig
     bool adjustWidth = true;
     unsigned minNextLines = 0;
     unsigned maxNextLines = 4;
+
+    bool operator==(const AdaptiveVamConfig &) const = default;
 };
 
 /**

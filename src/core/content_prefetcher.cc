@@ -2,20 +2,8 @@
 
 #include <unordered_set>
 
-#include "snapshot/ckpt_io.hh"
-
 namespace cdp
 {
-
-std::string
-CdpConfig::widthLabel() const
-{
-    std::string label = "p";
-    label += std::to_string(prevLines);
-    label += ".n";
-    label += std::to_string(nextLines);
-    return label;
-}
 
 ContentPrefetcher::ContentPrefetcher(const CdpConfig &cfg,
                                      StatGroup *stats,
@@ -100,83 +88,6 @@ ContentPrefetcher::scanFill(const std::uint8_t *line, Addr trigger_ea,
         }
     }
     return out;
-}
-
-bool
-operator==(const VamConfig &a, const VamConfig &b)
-{
-    return a.compareBits == b.compareBits && a.filterBits == b.filterBits &&
-           a.alignBits == b.alignBits && a.scanStep == b.scanStep;
-}
-
-bool
-operator==(const CdpConfig &a, const CdpConfig &b)
-{
-    return a.enabled == b.enabled && a.vam == b.vam &&
-           a.depthThreshold == b.depthThreshold &&
-           a.nextLines == b.nextLines && a.prevLines == b.prevLines &&
-           a.reinforce == b.reinforce &&
-           a.reinforceMinDelta == b.reinforceMinDelta &&
-           a.scanPageWalkFills == b.scanPageWalkFills &&
-           a.scanWidthFills == b.scanWidthFills &&
-           a.widthOnRescan == b.widthOnRescan;
-}
-
-namespace snap
-{
-
-void
-saveCdpConfig(Writer &w, const CdpConfig &cfg)
-{
-    w.boolean(cfg.enabled);
-    w.u64(cfg.vam.compareBits);
-    w.u64(cfg.vam.filterBits);
-    w.u64(cfg.vam.alignBits);
-    w.u64(cfg.vam.scanStep);
-    w.u64(cfg.depthThreshold);
-    w.u64(cfg.nextLines);
-    w.u64(cfg.prevLines);
-    w.boolean(cfg.reinforce);
-    w.u64(cfg.reinforceMinDelta);
-    w.boolean(cfg.scanPageWalkFills);
-    w.boolean(cfg.scanWidthFills);
-    w.boolean(cfg.widthOnRescan);
-}
-
-CdpConfig
-loadCdpConfig(Reader &r)
-{
-    CdpConfig cfg;
-    cfg.enabled = r.boolean();
-    cfg.vam.compareBits = static_cast<unsigned>(r.u64());
-    cfg.vam.filterBits = static_cast<unsigned>(r.u64());
-    cfg.vam.alignBits = static_cast<unsigned>(r.u64());
-    cfg.vam.scanStep = static_cast<unsigned>(r.u64());
-    cfg.depthThreshold = static_cast<unsigned>(r.u64());
-    cfg.nextLines = static_cast<unsigned>(r.u64());
-    cfg.prevLines = static_cast<unsigned>(r.u64());
-    cfg.reinforce = r.boolean();
-    cfg.reinforceMinDelta = static_cast<unsigned>(r.u64());
-    cfg.scanPageWalkFills = r.boolean();
-    cfg.scanWidthFills = r.boolean();
-    cfg.widthOnRescan = r.boolean();
-    return cfg;
-}
-
-} // namespace snap
-
-void
-ContentPrefetcher::saveState(snap::Writer &w) const
-{
-    snap::saveCdpConfig(w, cfg);
-}
-
-void
-ContentPrefetcher::loadState(snap::Reader &r, bool apply_config)
-{
-    const CdpConfig saved = snap::loadCdpConfig(r);
-    if (apply_config && saved != cfg)
-        reconfigure(saved);
 }
 
 } // namespace cdp

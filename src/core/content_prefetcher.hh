@@ -41,12 +41,6 @@
 namespace cdp
 {
 
-namespace snap
-{
-class Writer;
-class Reader;
-} // namespace snap
-
 /** Configuration of the content prefetcher. */
 struct CdpConfig
 {
@@ -85,25 +79,9 @@ struct CdpConfig
      */
     bool widthOnRescan = false;
 
-    /** "p0.n3"-style label used by Figure 9. */
-    std::string widthLabel() const;
+    /** Field-wise (checkpoint live-config reconciliation). */
+    bool operator==(const CdpConfig &) const = default;
 };
-
-/** Field-wise equality (checkpoint live-config reconciliation). */
-bool operator==(const VamConfig &a, const VamConfig &b);
-bool operator==(const CdpConfig &a, const CdpConfig &b);
-inline bool operator!=(const CdpConfig &a, const CdpConfig &b)
-{
-    return !(a == b);
-}
-
-namespace snap
-{
-/** Serialize every CdpConfig knob. */
-void saveCdpConfig(Writer &w, const CdpConfig &cfg);
-/** Read a CdpConfig written by saveCdpConfig. */
-CdpConfig loadCdpConfig(Reader &r);
-} // namespace snap
 
 /** One prefetch the content prefetcher wants issued. */
 struct CdpCandidate
@@ -172,28 +150,16 @@ class ContentPrefetcher
     std::uint64_t rescanCount() const { return rescans.value(); }
     std::uint64_t candidatesFound() const { return candidates.value(); }
 
-    /**
-     * Serialize the live configuration — which may differ from the
-     * construction-time config when the adaptive controller has tuned
-     * it mid-run. The VAM itself is stateless (the paper's premise),
-     * so the config is the *only* state worth saving.
-     */
-    void saveState(snap::Writer &w) const;
-
-    /**
-     * Consume the saved live configuration; apply it via
-     * reconfigure() only when @p apply_config is true (the restoring
-     * simulator keeps its own knobs when it was constructed with a
-     * deliberately different sweep configuration).
-     */
-    void loadState(snap::Reader &r, bool apply_config);
-
   private:
+    /**
+     * The live configuration — the construction-time one unless the
+     * adaptive controller has tuned it. The VAM is stateless by design
+     * (the paper's central claim), so this is all a checkpoint needs;
+     * MemorySystem carries it through the knob table.
+     */
     CdpConfig cfg;
-    // cdplint: transient(predictor) -- the VAM is stateless by design (the paper's central claim); nothing to checkpoint
     Vam predictor;
 
-    // cdplint: transient(dummyGroup, scans, rescans, candidates, widthLines, depthSuppressed) -- Stats are observational, reset at warm-up end, and travel via the stats dump, not the checkpoint
     StatGroup dummyGroup;
     Scalar scans;
     Scalar rescans;

@@ -13,16 +13,26 @@ VamConfig::label() const
            "." + std::to_string(alignBits) + "." + std::to_string(scanStep);
 }
 
-Vam::Vam(const VamConfig &cfg) : cfg(cfg)
+std::string
+Vam::configError(const VamConfig &cfg, const char *compare_name,
+                 const char *filter_name)
 {
     if (cfg.compareBits == 0 || cfg.compareBits > 31)
-        throw std::invalid_argument("Vam: compareBits must be in [1,31]");
+        return std::string(compare_name) + " must be in [1,31]";
     if (cfg.compareBits + cfg.filterBits > 32)
-        throw std::invalid_argument("Vam: compare+filter bits exceed 32");
+        return std::string(compare_name) + " + " + filter_name +
+               " exceed 32 bits";
     if (cfg.alignBits > 4)
-        throw std::invalid_argument("Vam: alignBits must be <= 4");
+        return "alignBits must be <= 4";
     if (cfg.scanStep == 0 || cfg.scanStep > lineBytes - wordBytes)
-        throw std::invalid_argument("Vam: bad scanStep");
+        return "bad scanStep";
+    return "";
+}
+
+Vam::Vam(const VamConfig &cfg) : cfg(cfg)
+{
+    if (const std::string e = configError(cfg); !e.empty())
+        throw std::invalid_argument("Vam: " + e);
 
     alignMask = (1u << cfg.alignBits) - 1;
     compareShift = 32 - cfg.compareBits;

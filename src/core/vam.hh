@@ -42,6 +42,8 @@ struct VamConfig
 
     /** "8.4.1.2"-style label used in the paper's figures. */
     std::string label() const;
+
+    bool operator==(const VamConfig &) const = default;
 };
 
 /** Why a word was accepted or rejected (tests and tuning stats). */
@@ -77,6 +79,12 @@ class Vam
 {
   public:
     explicit Vam(const VamConfig &cfg = VamConfig{});
+
+    /** The constructor's rules, naming the compare and filter widths
+     *  @p compare_name and @p filter_name; empty when valid. */
+    static std::string configError(const VamConfig &cfg,
+                                   const char *compare_name = "compareBits",
+                                   const char *filter_name = "filterBits");
 
     /** Full classification of one word against a trigger EA. */
     VamVerdict classify(std::uint32_t word, Addr trigger_ea) const;

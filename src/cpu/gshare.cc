@@ -14,8 +14,16 @@ Gshare::Gshare(unsigned entries, StatGroup *stats, const std::string &name)
       mispredicts(stats ? *stats : dummyGroup, name + ".mispredicts",
                   "branches mispredicted")
 {
+    if (const std::string e = geometryError(entries); !e.empty())
+        throw std::invalid_argument("Gshare: " + e);
+}
+
+std::string
+Gshare::geometryError(unsigned entries, const char *entries_name)
+{
     if (entries == 0 || (entries & (entries - 1)) != 0)
-        throw std::invalid_argument("Gshare: entries must be power of two");
+        return std::string(entries_name) + " must be a power of two";
+    return "";
 }
 
 bool

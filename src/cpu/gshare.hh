@@ -35,6 +35,11 @@ class Gshare
     explicit Gshare(unsigned entries = 16384, StatGroup *stats = nullptr,
                     const std::string &name = "bp");
 
+    /** The constructor's geometry rule, naming the parameter
+     *  @p entries_name; empty when valid. */
+    static std::string geometryError(unsigned entries,
+                                     const char *entries_name = "entries");
+
     /** Predict the direction of the branch at @p pc. */
     bool predict(Addr pc) const;
 

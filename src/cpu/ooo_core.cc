@@ -217,15 +217,34 @@ OooCore::step()
     if (!progressed) {
         // Fully stalled: skip ahead to the next event that can
         // unblock us — the ROB head completing or fetch resuming.
+        // When neither lies in the future, nothing ever will.
         Cycle wake = std::numeric_limits<Cycle>::max();
-        if (robCount != 0)
+        if (robCount != 0) {
+            if (robBuf[robHead].complete <= cycle)
+                stuck("the ROB head is complete but did not retire");
             wake = std::min(wake, robBuf[robHead].complete);
+        }
         if (cycle < fetchStalledUntil)
             wake = std::min(wake, fetchStalledUntil);
+        else if (robCount == 0)
+            stuck("the ROB is empty and fetch is not stalled, yet "
+                  "nothing issued");
         if (wake != std::numeric_limits<Cycle>::max())
             next = std::max(next, wake);
     }
     cycle = next;
+}
+
+void
+OooCore::stuck(const char *why) const
+{
+    const auto n = [](std::uint64_t v) { return std::to_string(v); };
+    throw CoreStallError(
+        "core stuck at cycle " + n(cycle) + ": " + why + " (ROB " +
+        n(robCount) + "/" + n(cfg.robEntries) + ", LB " + n(loadsInRob) +
+        "/" + n(cfg.loadBuffer) + ", SB " + n(storesInRob) + "/" +
+        n(cfg.storeBuffer) + "; issueWidth " + n(cfg.issueWidth) +
+        ", retireWidth " + n(cfg.retireWidth) + ")");
 }
 
 Cycle

@@ -20,6 +20,7 @@
 #define CDP_CPU_OOO_CORE_HH
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -93,6 +94,16 @@ struct CoreConfig
     unsigned bpEntries = 16384;
     unsigned aluLatency = 1;
     unsigned fpLatency = 3;
+
+    bool operator==(const CoreConfig &) const = default;
+};
+
+/** No future event can ever unblock the core; what() names the ROB,
+ *  LB and SB occupancy and the CoreConfig limits. */
+class CoreStallError : public std::runtime_error
+{
+  public:
+    using std::runtime_error::runtime_error;
 };
 
 /**
@@ -108,6 +119,7 @@ class OooCore
     /**
      * Run until @p n more uops have retired.
      * @return cycles elapsed during this call
+     * @throws CoreStallError when the core can never retire again
      */
     Cycle run(std::uint64_t n);
 
@@ -155,6 +167,9 @@ class OooCore
 
     /** Fetch/issue up to issueWidth uops. */
     void issueStage();
+
+    /** Throw the CoreStallError diagnostic for the current state. */
+    [[noreturn]] void stuck(const char *why) const;
 
     // cdplint: transient(cfg) -- construction-time geometry; loadState cross-checks compatibility, it never overwrites
     CoreConfig cfg;

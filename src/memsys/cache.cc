@@ -28,16 +28,23 @@ Cache::Cache(std::uint64_t size_bytes, unsigned ways, StatGroup *stats,
       evictions(stats ? *stats : dummyGroup, name + ".evictions",
                 "valid lines displaced")
 {
-    if (ways == 0)
-        throw std::invalid_argument("Cache: zero ways");
-    if (size_bytes % (static_cast<std::uint64_t>(ways) * lineBytes) != 0)
-        throw std::invalid_argument("Cache: size not divisible by ways");
-    const std::uint64_t s = size_bytes / ways / lineBytes;
-    if (!isPow2(s))
-        throw std::invalid_argument("Cache: set count must be pow2");
-    sets = static_cast<unsigned>(s);
+    if (const std::string e = geometryError(size_bytes, ways); !e.empty())
+        throw std::invalid_argument("Cache: " + e);
+    sets = static_cast<unsigned>(size_bytes / ways / lineBytes);
     setMask = sets - 1;
     lines.resize(static_cast<std::size_t>(sets) * ways);
+}
+
+std::string
+Cache::geometryError(std::uint64_t size_bytes, unsigned ways,
+                     const char *size_name, const char *ways_name)
+{
+    const std::uint64_t way_bytes = std::uint64_t{ways} * lineBytes;
+    if (ways == 0 || size_bytes % way_bytes != 0 ||
+        !isPow2(size_bytes / way_bytes))
+        return std::string(size_name) + " / (" + ways_name +
+               " x 64 B lines) must be a power-of-two set count";
+    return "";
 }
 
 CacheLine *

@@ -98,6 +98,13 @@ class Cache
     Cache(std::uint64_t size_bytes, unsigned ways,
           StatGroup *stats = nullptr, const std::string &name = "cache");
 
+    /** The constructor's geometry rule, naming the parameters
+     *  @p size_name and @p ways_name; empty when valid. */
+    static std::string geometryError(std::uint64_t size_bytes,
+                                     unsigned ways,
+                                     const char *size_name = "size",
+                                     const char *ways_name = "ways");
+
     /**
      * Look up @p addr; on a hit the line's LRU stamp is refreshed.
      * @return the resident line, or nullptr on a miss.

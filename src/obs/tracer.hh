@@ -55,6 +55,8 @@ struct TraceConfig
      * to the run.
      */
     std::uint64_t bufferEvents = 1u << 16;
+
+    bool operator==(const TraceConfig &) const = default;
 };
 
 /**

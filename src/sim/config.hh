@@ -12,13 +12,18 @@
 #define CDP_SIM_CONFIG_HH
 
 #include <cstdint>
+#include <span>
+#include <stdexcept>
 #include <string>
+#include <string_view>
+#include <variant>
 
 #include "common/types.hh"
 #include "core/adaptive_vam.hh"
 #include "core/content_prefetcher.hh"
 #include "cpu/ooo_core.hh"
 #include "obs/tracer.hh"
+#include "snapshot/ckpt_io.hh"
 
 namespace cdp
 {
@@ -53,6 +58,8 @@ struct MemConfig
      * the prefetch engine keeps running).
      */
     unsigned drainBudgetCap = 512;
+
+    bool operator==(const MemConfig &) const = default;
 };
 
 /** Baseline (history) prefetcher knobs. */
@@ -69,6 +76,8 @@ struct StrideConfig
     unsigned tableEntries = 256;
     unsigned degree = 2;
     unsigned confThreshold = 2;
+
+    bool operator==(const StrideConfig &) const = default;
 };
 
 /** Markov prefetcher (Section 5) knobs. */
@@ -79,6 +88,8 @@ struct MarkovConfig
     std::uint64_t stabBytes = 0;
     unsigned ways = 16;
     unsigned fanout = 4;
+
+    bool operator==(const MarkovConfig &) const = default;
 };
 
 /** Section 3.5 limit study: inject bad prefetches on idle bus slots. */
@@ -86,6 +97,8 @@ struct PollutionConfig
 {
     bool enabled = false;
     std::uint64_t seed = 7777;
+
+    bool operator==(const PollutionConfig &) const = default;
 };
 
 /**
@@ -106,6 +119,8 @@ struct SchedConfig
      *            runs its full body on every call.
      */
     std::string mode = "wheel";
+
+    bool operator==(const SchedConfig &) const = default;
 };
 
 /** Everything that defines one simulation run. */
@@ -150,18 +165,81 @@ struct SimConfig
     void scaleRunLength(double factor);
 
     /**
-     * Apply a "key=value" override; recognized keys cover every knob
-     * above (e.g. "cdp.depth=5", "mem.l2_kb=512", "workload=tpcc-2").
-     * @return false when the key is unknown.
+     * Apply a "key=value" override: a knob-table key (see knobTable()),
+     * or "scale" for scaleRunLength. The value is parsed strictly.
+     * @return false when the key is unknown
+     * @throws ConfigError naming the key when the value is bad
      */
     bool applyOverride(const std::string &key, const std::string &value);
 
-    /** Parse argv-style overrides; throws on an unknown key. */
+    /** Parse argv-style overrides, apply CDP_SCALE, then validate();
+     *  throws ConfigError (a std::invalid_argument) naming the key. */
     void parseArgs(int argc, char **argv);
 
-    /** Multi-line human-readable summary (Table 1 style). */
+    /** Check every knob's range and the cross-knob rules (geometry,
+     *  VAM bit budget, adaptive bounds); throws ConfigError. */
+    void validate() const;
+
+    /** One key=value line per knob; the lines parse back into an
+     *  equal config. */
     std::string summary() const;
+
+    bool operator==(const SimConfig &) const = default;
 };
+
+/** A bad knob; what() starts with the key. */
+class ConfigError : public std::invalid_argument
+{
+  public:
+    ConfigError(const std::string &key, const std::string &problem)
+        : std::invalid_argument(key + ": " + problem), knob(key)
+    {
+    }
+    const std::string &key() const { return knob; }
+
+  private:
+    std::string knob;
+};
+
+/** The SimConfig field of a knob; its type picks the parser. */
+using KnobField = std::variant<unsigned *, std::uint64_t *, bool *,
+                               double *, std::string *>;
+
+/**
+ * One row of the knob table: a SimConfig field described once.
+ * applyOverride, summary(), validate(), the checkpoint and cdpsim
+ * --help all iterate the table.
+ */
+struct Knob
+{
+    const char *key;
+    KnobField (*field)(SimConfig &c);
+    std::uint64_t min, max; //!< inclusive range, as written
+    std::uint64_t scale;    //!< field = written value * scale
+    /** Shapes machine state: the checkpoint's CFG! section records it
+     *  and restore refuses a mismatch (DESIGN.md §11). */
+    bool guarded;
+    const char *doc;
+    const char *choices = nullptr; //!< "a|b" vocabulary of a text knob
+
+    /** The field's value as written in a key=value pair. */
+    std::string get(const SimConfig &c) const;
+    /** Parse @p value strictly into the field; throws ConfigError. */
+    void set(SimConfig &c, const std::string &value) const;
+};
+
+/** Every SimConfig field, one row each, in summary order. */
+std::span<const Knob> knobTable();
+const Knob *findKnob(std::string_view key);
+/** "key range doc" per row, for cdpsim --help. */
+std::string knobHelp();
+
+/** Write the rows @p pick selects as key/value string pairs. */
+void saveKnobs(snap::Writer &w, const SimConfig &c,
+               bool (*pick)(const Knob &));
+/** Read what saveKnobs wrote into @p c; a bad key or value fails the
+ *  read with a SnapshotError. */
+void loadKnobs(snap::Reader &r, SimConfig &c, bool (*pick)(const Knob &));
 
 } // namespace cdp
 

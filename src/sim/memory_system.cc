@@ -12,6 +12,18 @@
 namespace cdp
 {
 
+namespace
+{
+
+/** The knob-table rows of CdpConfig are the cdp.* keys. */
+bool
+isCdpKnob(const Knob &k)
+{
+    return std::string_view(k.key).starts_with("cdp.");
+}
+
+} // namespace
+
 MemorySystem::MemorySystem(const SimConfig &cfg, BackingStore &store,
                            PageTable &page_table, StatGroup *stats)
     : cfg(cfg), backing(store), pageTable(page_table),
@@ -681,8 +693,6 @@ MemorySystem::load(Addr pc, Addr vaddr, Cycle now, bool /*pointer_load*/)
 
     // L2 miss: check in-flight transactions first.
     if (const MshrEntry *e = mshrs.find(line_pa)) {
-        const Cycle fresh =
-            std::max(t0, bus.freeCycle()) + bus.latencyCycles();
         const Cycle inflight_done = e->completion;
         if (isPrefetch(e->type)) {
             const bool is_cdp = e->type == ReqType::ContentPrefetch;
@@ -714,7 +724,6 @@ MemorySystem::load(Addr pc, Addr vaddr, Cycle now, bool /*pointer_load*/)
                            e->root, e->type, e->depth, e->hop,
                            static_cast<std::uint32_t>(demandId));
         }
-        (void)fresh;
         const Cycle done = std::max(inflight_done,
                                     t0 + cfg.mem.l2Latency);
         loadLatency.sample(static_cast<double>(cyclesSince(done, now)));
@@ -878,11 +887,15 @@ MemorySystem::saveState(snap::Writer &w) const
     if (markov)
         markov->saveState(w);
     // Base (construction-time) cdp config travels ahead of the live
-    // one: the restoring side uses it to decide whether the live
-    // config applies (same machine resumed) or its own sweep override
-    // wins (warm fork).
-    snap::saveCdpConfig(w, cfg.cdp);
-    cdp.saveState(w);
+    // one, which the adaptive controller may have tuned: the
+    // restoring side uses the base to decide whether the live config
+    // applies (same machine resumed) or its own sweep override wins
+    // (warm fork). The VAM itself is stateless, so the config is all
+    // the content prefetcher carries.
+    saveKnobs(w, cfg, isCdpKnob);
+    SimConfig live;
+    live.cdp = cdp.config();
+    saveKnobs(w, live, isCdpKnob);
     adaptive.saveState(w);
     bus.saveState(w);
     l2Arbiter.saveState(w); // throws unless empty
@@ -932,9 +945,12 @@ MemorySystem::loadState(snap::Reader &r)
                std::string(markov ? "has" : "lacks") + " one");
     if (markov)
         markov->loadState(r);
-    const CdpConfig savedBase = snap::loadCdpConfig(r);
-    const bool sameBase = savedBase == cfg.cdp;
-    cdp.loadState(r, sameBase);
+    SimConfig saved;
+    loadKnobs(r, saved, isCdpKnob);
+    const bool sameBase = saved.cdp == cfg.cdp;
+    loadKnobs(r, saved, isCdpKnob);
+    if (sameBase && saved.cdp != cdp.config())
+        cdp.reconfigure(saved.cdp);
     adaptive.loadState(r);
     bus.loadState(r);
     l2Arbiter.loadState(r);

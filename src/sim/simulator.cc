@@ -50,10 +50,17 @@ diffCounters(const MemorySystem::Counters &a,
     return d;
 }
 
+const SimConfig &
+validated(const SimConfig &cfg)
+{
+    cfg.validate();
+    return cfg;
+}
+
 } // namespace
 
 Simulator::Simulator(const SimConfig &cfg)
-    : cfg(cfg),
+    : cfg(validated(cfg)),
       frames(/*base_pa=*/0, cfg.physFrames, /*scatter=*/true,
              cfg.workloadSeed ^ 0xabcdef),
       pageTable(store, frames)

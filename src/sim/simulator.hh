@@ -58,6 +58,8 @@ struct RunResult
 class Simulator
 {
   public:
+    /** @throws ConfigError when @p cfg fails SimConfig::validate(),
+     *          before any part of the machine is built */
     explicit Simulator(const SimConfig &cfg);
 
     /**

@@ -41,7 +41,7 @@ namespace snap
 {
 
 /** Current checkpoint format version (bump on layout changes). */
-constexpr std::uint32_t formatVersion = 2;
+constexpr std::uint32_t formatVersion = 3;
 
 /**
  * Any failure to serialize or deserialize a checkpoint: truncation,

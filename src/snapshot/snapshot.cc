@@ -16,18 +16,17 @@
  *   CORE  OooCore pipeline + branch predictor
  *   STAT  StatGroup scalar/distribution values
  *
- * The guarded configuration covers everything that shapes machine
- * *state*: restoring into a different geometry would silently corrupt
- * the run, so it fails loudly instead. The deliberately unguarded
- * knobs — cdp.*, adaptive.*, trace.*, run lengths — only shape future
- * *behaviour*; forking one warm checkpoint across a sweep of them is
- * the whole point of the subsystem.
+ * The guarded configuration — the rows of the knob table
+ * (src/sim/config.cc) marked guarded — covers everything that shapes
+ * machine *state*: restoring into a different geometry would silently
+ * corrupt the run, so it fails loudly instead. The deliberately
+ * unguarded knobs — cdp.*, adaptive.*, trace.*, sched.*, run lengths —
+ * only shape future *behaviour*; forking one warm checkpoint across a
+ * sweep of them is the whole point of the subsystem.
  */
 
 #include <fstream>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "sim/simulator.hh"
 #include "snapshot/ckpt_io.hh"
@@ -38,60 +37,11 @@ namespace cdp
 namespace
 {
 
-/**
- * The guarded subset of the configuration as ordered name/value
- * pairs. Both ends build the same list, so a mismatch reports the
- * offending knob by name.
- */
-std::vector<std::pair<std::string, std::string>>
-guardedConfig(const SimConfig &cfg)
+/** The knob-table rows CFG! carries (the table's guarded? column). */
+bool
+isGuardedKnob(const Knob &k)
 {
-    std::vector<std::pair<std::string, std::string>> kv;
-    const auto add = [&kv](const char *name, std::uint64_t v) {
-        kv.emplace_back(name, std::to_string(v));
-    };
-    kv.emplace_back("workload", cfg.workload);
-    add("workload_seed", cfg.workloadSeed);
-    add("phys_frames", cfg.physFrames);
-
-    add("core.issue_width", cfg.core.issueWidth);
-    add("core.retire_width", cfg.core.retireWidth);
-    add("core.rob_entries", cfg.core.robEntries);
-    add("core.load_buffer", cfg.core.loadBuffer);
-    add("core.store_buffer", cfg.core.storeBuffer);
-    add("core.mispredict_penalty", cfg.core.mispredictPenalty);
-    add("core.bp_entries", cfg.core.bpEntries);
-    add("core.alu_latency", cfg.core.aluLatency);
-    add("core.fp_latency", cfg.core.fpLatency);
-
-    add("mem.l1_bytes", cfg.mem.l1Bytes);
-    add("mem.l1_ways", cfg.mem.l1Ways);
-    add("mem.l1_latency", cfg.mem.l1Latency);
-    add("mem.l2_bytes", cfg.mem.l2Bytes);
-    add("mem.l2_ways", cfg.mem.l2Ways);
-    add("mem.l2_latency", cfg.mem.l2Latency);
-    add("mem.dtlb_entries", cfg.mem.dtlbEntries);
-    add("mem.dtlb_ways", cfg.mem.dtlbWays);
-    add("mem.bus_latency", cfg.mem.busLatency);
-    add("mem.bus_occupancy", cfg.mem.busOccupancy);
-    add("mem.bus_queue", cfg.mem.busQueueSize);
-    add("mem.l2_queue", cfg.mem.l2QueueSize);
-    add("mem.drain_budget_cap", cfg.mem.drainBudgetCap);
-
-    add("stride.enabled", cfg.stride.enabled ? 1 : 0);
-    kv.emplace_back("stride.policy", cfg.stride.policy);
-    add("stride.table_entries", cfg.stride.tableEntries);
-    add("stride.degree", cfg.stride.degree);
-    add("stride.conf_threshold", cfg.stride.confThreshold);
-
-    add("markov.enabled", cfg.markov.enabled ? 1 : 0);
-    add("markov.stab_bytes", cfg.markov.stabBytes);
-    add("markov.ways", cfg.markov.ways);
-    add("markov.fanout", cfg.markov.fanout);
-
-    add("pollution.enabled", cfg.pollution.enabled ? 1 : 0);
-    add("pollution.seed", cfg.pollution.seed);
-    return kv;
+    return k.guarded;
 }
 
 } // namespace
@@ -109,12 +59,7 @@ Simulator::saveCheckpoint(std::ostream &os) const
     snap::Writer w(os);
 
     w.beginSection("CFG!");
-    const auto kv = guardedConfig(cfg);
-    w.u64(kv.size());
-    for (const auto &pair : kv) {
-        w.str(pair.first);
-        w.str(pair.second);
-    }
+    saveKnobs(w, cfg, isGuardedKnob);
     w.endSection();
 
     w.beginSection("STOR");
@@ -159,11 +104,13 @@ Simulator::restoreCheckpoint(std::istream &is)
     snap::Reader r(is);
 
     r.enterSection("CFG!");
-    const auto kv = guardedConfig(cfg);
-    r.expectU64(kv.size(), "guarded-config entry count");
-    for (const auto &pair : kv) {
-        r.expectStr(pair.first, "guarded-config key");
-        r.expectStr(pair.second, pair.first.c_str());
+    SimConfig saved = cfg;
+    loadKnobs(r, saved, isGuardedKnob);
+    for (const Knob &k : knobTable()) {
+        if (k.guarded && k.get(saved) != k.get(cfg))
+            r.fail(std::string(k.key) + " mismatch: checkpoint has '" +
+                   k.get(saved) + "', this simulator has '" + k.get(cfg) +
+                   "'");
     }
     r.leaveSection();
 

@@ -25,11 +25,19 @@ Tlb::Tlb(unsigned entries, unsigned ways, StatGroup *stats,
       hits(stats ? *stats : dummyGroup, name + ".hits", "TLB hits"),
       misses(stats ? *stats : dummyGroup, name + ".misses", "TLB misses")
 {
-    if (ways == 0 || entries % ways != 0)
-        throw std::invalid_argument("Tlb: entries must be multiple of ways");
-    if (!isPow2(numSets))
-        throw std::invalid_argument("Tlb: number of sets must be pow2");
+    if (const std::string e = geometryError(entries, ways); !e.empty())
+        throw std::invalid_argument("Tlb: " + e);
     table.resize(entries);
+}
+
+std::string
+Tlb::geometryError(unsigned entries, unsigned ways,
+                   const char *entries_name, const char *ways_name)
+{
+    if (ways == 0 || entries % ways != 0 || !isPow2(entries / ways))
+        return std::string(entries_name) + " / " + ways_name +
+               " must be a power-of-two set count";
+    return "";
 }
 
 std::optional<Addr>

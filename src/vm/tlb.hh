@@ -45,6 +45,12 @@ class Tlb
     Tlb(unsigned entries, unsigned ways, StatGroup *stats = nullptr,
         const std::string &name = "tlb");
 
+    /** The constructor's geometry rule, naming the parameters
+     *  @p entries_name and @p ways_name; empty when valid. */
+    static std::string geometryError(unsigned entries, unsigned ways,
+                                     const char *entries_name = "entries",
+                                     const char *ways_name = "ways");
+
     /**
      * Look up the translation for @p va, updating LRU on a hit.
      * @return physical frame base, or std::nullopt on a miss.

@@ -4,7 +4,8 @@
  * randomConfig(seed) maps a seed to a random-but-valid SimConfig.
  * Multiple test binaries (test_fuzz, test_event_wheel) draw from the
  * same distribution so a seed reported by one net reproduces in the
- * others.
+ * others. invalidConfig(seed) derives a config with one knob out of
+ * range from it, for the invalid-config axis.
  *
  * Draw-order contract: new knobs must be drawn AFTER all existing
  * ones. Every draw consumes RNG state, so inserting one in the middle
@@ -16,7 +17,14 @@
 #define CDP_TESTS_FUZZ_CONFIG_HH
 
 #include <cstdint>
+#include <functional>
 #include <iterator>
+#include <limits>
+#include <string>
+#include <type_traits>
+#include <utility>
+#include <variant>
+#include <vector>
 
 #include "common/rng.hh"
 #include "sim/config.hh"
@@ -75,6 +83,62 @@ randomConfig(std::uint64_t seed)
     // the configurations so the fuzz nets cover both advance paths.
     c.sched.mode = rng.chance(0.25) ? "legacy" : "wheel";
     return c;
+}
+
+/** A configuration with exactly one knob-table row out of range. */
+struct InvalidConfig
+{
+    SimConfig cfg;
+    std::string key; //!< the row pushed out of range
+};
+
+/**
+ * randomConfig(seed) with one row pushed just past its range (or out
+ * of its vocabulary). A separate generator on its own RNG stream, so
+ * randomConfig's draw order — and every existing seed — is untouched.
+ */
+inline InvalidConfig
+invalidConfig(std::uint64_t seed)
+{
+    InvalidConfig out{randomConfig(seed), ""};
+    Rng rng(seed ^ 0x0bad'c0f1'9000'0001ULL);
+
+    // Every row that has an out-of-range value, with that value.
+    std::vector<std::pair<const Knob *, std::function<void(SimConfig &)>>>
+        pushes;
+    SimConfig probe;
+    for (const Knob &k : knobTable()) {
+        std::visit(
+            [&](auto *f) {
+                using T = std::remove_pointer_t<decltype(f)>;
+                if constexpr (std::is_same_v<T, double>) {
+                    pushes.emplace_back(&k, [&k](SimConfig &c) {
+                        *std::get<double *>(k.field(c)) = k.max + 0.5;
+                    });
+                } else if constexpr (std::is_same_v<T, std::string>) {
+                    if (k.choices)
+                        pushes.emplace_back(&k, [&k](SimConfig &c) {
+                            *std::get<std::string *>(k.field(c)) = "bogus";
+                        });
+                } else if constexpr (!std::is_same_v<T, bool>) {
+                    if (k.min > 0)
+                        pushes.emplace_back(&k, [&k](SimConfig &c) {
+                            *std::get<T *>(k.field(c)) =
+                                static_cast<T>((k.min - 1) * k.scale);
+                        });
+                    if (k.max < std::numeric_limits<T>::max() / k.scale)
+                        pushes.emplace_back(&k, [&k](SimConfig &c) {
+                            *std::get<T *>(k.field(c)) =
+                                static_cast<T>((k.max + 1) * k.scale);
+                        });
+                }
+            },
+            k.field(probe));
+    }
+    const auto &[knob, push] = pushes[rng.below(pushes.size())];
+    push(out.cfg);
+    out.key = knob->key;
+    return out;
 }
 
 } // namespace cdp::testcfg

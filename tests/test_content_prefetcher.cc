@@ -187,17 +187,6 @@ TEST(ContentPf, StatsCountScansAndCandidates)
     EXPECT_EQ(pf.candidatesFound(), 2u);
 }
 
-TEST(ContentPf, WidthLabel)
-{
-    CdpConfig c;
-    c.prevLines = 0;
-    c.nextLines = 3;
-    EXPECT_EQ(c.widthLabel(), "p0.n3");
-    c.prevLines = 1;
-    c.nextLines = 0;
-    EXPECT_EQ(c.widthLabel(), "p1.n0");
-}
-
 /** Property: across depth thresholds, scans occur iff depth is below
  *  the threshold, and emitted depths never exceed threshold. */
 class ContentPfDepth : public ::testing::TestWithParam<unsigned>

@@ -1,7 +1,8 @@
 /** @file
  * Configuration-fuzz property tests: short simulations across
  * randomized machine/prefetcher configurations must never crash,
- * hang, or violate basic accounting invariants.
+ * hang, or violate basic accounting invariants; configurations with
+ * one knob out of range must fail fast with an error naming it.
  */
 
 #include <gtest/gtest.h>
@@ -265,6 +266,37 @@ TEST_P(ConfigFuzzCheckpointTrace, MeasuredEventStreamIsByteIdentical)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ConfigFuzzCheckpointTrace,
                          ::testing::Range<std::uint64_t>(1, 9));
+
+class ConfigFuzzInvalid : public ::testing::TestWithParam<std::uint64_t>
+{
+};
+
+/**
+ * The invalid-config axis: one knob-table row pushed out of range must
+ * end in a ConfigError naming that row — from validate() and from the
+ * Simulator constructor, before any machine is built — never in a
+ * hang, a crash, or a run with values nobody asked for.
+ */
+TEST_P(ConfigFuzzInvalid, OutOfRangeKnobIsNamed)
+{
+    const testcfg::InvalidConfig bad = testcfg::invalidConfig(GetParam());
+    SCOPED_TRACE("key=" + bad.key + " seed=" + std::to_string(GetParam()));
+    try {
+        bad.cfg.validate();
+        FAIL() << "validate() accepted an out-of-range knob";
+    } catch (const ConfigError &e) {
+        EXPECT_EQ(e.key(), bad.key) << e.what();
+    }
+    try {
+        Simulator sim(bad.cfg);
+        FAIL() << "Simulator accepted an out-of-range knob";
+    } catch (const ConfigError &e) {
+        EXPECT_EQ(e.key(), bad.key) << e.what();
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ConfigFuzzInvalid,
+                         ::testing::Range<std::uint64_t>(1, 41));
 
 TEST(ConfigFuzzDeterminism, SameSeedSameResult)
 {

@@ -188,6 +188,38 @@ TEST(OooCore, RobBoundsWindow)
     EXPECT_LT(big_rob, small_rob);
 }
 
+TEST(OooCore, ImpossibleGeometryThrowsInsteadOfSpinning)
+{
+    // Each machine can never retire: with no event left to wait for,
+    // the core must diagnose itself rather than loop forever.
+    const auto stall = [](CoreConfig cfg, Uop u) {
+        ScriptSource src({u});
+        StubMem mem;
+        OooCore core(cfg, src, mem);
+        try {
+            core.run(10);
+        } catch (const CoreStallError &e) {
+            return std::string(e.what());
+        }
+        return std::string();
+    };
+    CoreConfig no_rob;
+    no_rob.robEntries = 0; // shape 1: empty ROB, fetch not stalled
+    const std::string rob = stall(no_rob, alu(noReg, 1));
+    EXPECT_NE(rob.find("ROB 0/0"), std::string::npos) << rob;
+
+    CoreConfig no_retire;
+    no_retire.retireWidth = 0; // shape 2: complete head never retires
+    const std::string retire = stall(no_retire, alu(noReg, 1));
+    EXPECT_NE(retire.find("retireWidth 0"), std::string::npos) << retire;
+    EXPECT_NE(retire.find("ROB 128/128"), std::string::npos) << retire;
+
+    CoreConfig no_lb;
+    no_lb.loadBuffer = 0;
+    const std::string lb = stall(no_lb, load(0x1000, noReg, 1));
+    EXPECT_NE(lb.find("LB 0/0"), std::string::npos) << lb;
+}
+
 TEST(OooCore, MispredictStallsFetch)
 {
     // Random 50/50 branches vs always-taken: random must be slower

@@ -324,7 +324,7 @@ TEST_F(SnapshotCorruption, GuardedConfigMismatchNamesTheKnob)
         FAIL() << "geometry mismatch not detected";
     } catch (const snap::SnapshotError &e) {
         const std::string err = e.what();
-        EXPECT_NE(err.find("mem.l2_bytes"), std::string::npos) << err;
+        EXPECT_NE(err.find("mem.l2_kb"), std::string::npos) << err;
         EXPECT_NE(err.find("mismatch"), std::string::npos) << err;
     }
 }

@@ -78,7 +78,7 @@ CFG_MUTATIONS = [
     # writers: the raw memsys->saveState inside resurfaces.
     ("quiesce-before-snapshot", "src/snapshot/snapshot.cc",
      "// cdplint: requires_quiesced(memsys)", "all",
-     {("src/snapshot/snapshot.cc", 141)}),
+     {("src/snapshot/snapshot.cc", 86)}),
     # Delete the lock acquisition in ~ThreadPool: the guarded
     # 'stopping' write right below it goes bare.
     ("lock-discipline", "src/runner/thread_pool.cc",

@@ -81,8 +81,9 @@ struct Options
     }
 };
 
+/** Print the usage line; @p keys adds the knob table (--help). */
 void
-usage()
+usage(bool keys)
 {
     std::fprintf(
         stderr,
@@ -90,9 +91,17 @@ usage()
         "              [--csv] [--stats] [--capture=PATH]\n"
         "              [--trace-out=PATH] [--trace-json=PATH]\n"
         "              [--checkpoint-out=PATH] [--checkpoint-in=PATH] "
-        "[-jN|--jobs=N]\n"
-        "keys: see src/sim/config.cc (e.g. cdp.depth=5, "
-        "mem.l2_kb=512,\n      workload=tpcc-2, measure_uops=2000000)\n");
+        "[-jN|--jobs=N]\n");
+    if (!keys) {
+        std::fprintf(stderr, "cdpsim --help lists the config keys\n");
+        return;
+    }
+    std::fprintf(stderr,
+                 "\nconfig keys (* = guarded: restoring a checkpoint "
+                 "needs the same value):\n%s"
+                 "  %-26s  %-26s %s\n",
+                 knobHelp().c_str(), "scale", "real > 0",
+                 "multiply warmup_uops and measure_uops (env CDP_SCALE)");
 }
 
 Options
@@ -131,7 +140,7 @@ parse(int argc, char **argv)
                         opt.workloads.push_back(item);
             }
         } else if (arg == "--help" || arg == "-h") {
-            usage();
+            usage(true);
             std::exit(0);
         } else {
             cfg_args.push_back(argv[i]);
@@ -389,7 +398,7 @@ main(int argc, char **argv)
         return 0;
     } catch (const std::exception &e) {
         std::fprintf(stderr, "cdpsim: error: %s\n", e.what());
-        usage();
+        usage(false);
         return 1;
     }
 }

@@ -14,8 +14,6 @@
 #ifndef CDP_CHECK_ACCESS_HH
 #define CDP_CHECK_ACCESS_HH
 
-#include <deque>
-#include <unordered_map>
 #include <vector>
 
 #include "memsys/cache.hh"
@@ -45,25 +43,24 @@ struct Access
     }
 
     // --- MshrFile ---------------------------------------------------
-    static const std::unordered_map<Addr, MshrEntry> &
-    entries(const MshrFile &m)
+    static const LineMap<MshrEntry> &entries(const MshrFile &m)
     {
         return m.entries;
     }
-    static std::unordered_map<Addr, MshrEntry> &entries(MshrFile &m)
+    static LineMap<MshrEntry> &entries(MshrFile &m)
     {
         return m.entries;
     }
     static unsigned capacity(const MshrFile &m) { return m.capacity; }
 
     // --- QueuedArbiter ----------------------------------------------
-    static const std::deque<MemRequest> &
+    static const RingDeque<MemRequest> &
     classQueue(const QueuedArbiter &a, unsigned prio)
     {
         return a.queues[prio];
     }
-    static std::deque<MemRequest> &classQueue(QueuedArbiter &a,
-                                              unsigned prio)
+    static RingDeque<MemRequest> &classQueue(QueuedArbiter &a,
+                                             unsigned prio)
     {
         return a.queues[prio];
     }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <sstream>
-#include <unordered_set>
 
 #include "check/access.hh"
 
@@ -104,8 +103,11 @@ auditCache(const Cache &c, unsigned max_depth,
 std::vector<std::pair<Addr, MshrEntry>>
 sortedMshrEntries(const MshrFile &m)
 {
-    const auto &raw = Access::entries(m);
-    std::vector<std::pair<Addr, MshrEntry>> snap(raw.begin(), raw.end());
+    std::vector<std::pair<Addr, MshrEntry>> snap;
+    snap.reserve(m.size());
+    Access::entries(m).forEach([&](Addr key, const MshrEntry &e) {
+        snap.emplace_back(key, e);
+    });
     std::sort(snap.begin(), snap.end(),
               [](const auto &a, const auto &b) {
                   return a.first < b.first;
@@ -154,11 +156,10 @@ std::size_t
 prefetchEntryCount(const MshrFile &m)
 {
     std::size_t n = 0;
-    for (const auto &[key, e] : Access::entries(m)) {
-        (void)key;
+    Access::entries(m).forEach([&](Addr, const MshrEntry &e) {
         if (isPrefetch(e.type) || e.promoted)
             ++n;
-    }
+    });
     return n;
 }
 
@@ -173,8 +174,9 @@ dumpArbiter(const QueuedArbiter &a, const char *who)
        << " extracted=" << Access::extractedCount(a) << "\n";
     for (unsigned p = 0; p < numPriorities; ++p) {
         os << "  class " << p << " (" << a.sizeOfClass(p) << "):\n";
-        for (const MemRequest &r : Access::classQueue(a, p))
-            os << "    " << r << "\n";
+        const auto &q = Access::classQueue(a, p);
+        for (std::size_t i = 0; i < q.size(); ++i)
+            os << "    " << q[i] << "\n";
     }
     return os.str();
 }
@@ -186,7 +188,8 @@ auditArbiter(const QueuedArbiter &a, [[maybe_unused]] const char *who)
     for (unsigned p = 0; p < numPriorities; ++p) {
         const auto &q = Access::classQueue(a, p);
         resident += q.size();
-        for (const MemRequest &r : q) {
+        for (std::size_t i = 0; i < q.size(); ++i) {
+            const MemRequest &r = q[i];
             // Strict-priority structure: a request must sit in the
             // queue of its own class, or arbitration order is broken.
             CDP_CHECK_MSG(r.priority() == p, dumpArbiter(a, who));

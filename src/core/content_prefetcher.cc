@@ -1,14 +1,29 @@
 #include "core/content_prefetcher.hh"
 
-#include <unordered_set>
+#include <stdexcept>
 
 namespace cdp
 {
 
+namespace
+{
+
+const CdpConfig &
+checkedWidths(const CdpConfig &cfg)
+{
+    if (cfg.nextLines > maxWidthLines || cfg.prevLines > maxWidthLines)
+        throw std::invalid_argument(
+            "ContentPrefetcher: width exceeds " +
+            std::to_string(maxWidthLines) + " lines");
+    return cfg;
+}
+
+} // namespace
+
 ContentPrefetcher::ContentPrefetcher(const CdpConfig &cfg,
                                      StatGroup *stats,
                                      const std::string &name)
-    : cfg(cfg), predictor(cfg.vam),
+    : cfg(checkedWidths(cfg)), predictor(cfg.vam),
       scans(stats ? *stats : dummyGroup, name + ".scans",
             "cache lines scanned"),
       rescans(stats ? *stats : dummyGroup, name + ".rescans",
@@ -21,12 +36,13 @@ ContentPrefetcher::ContentPrefetcher(const CdpConfig &cfg,
                       name + ".depth_suppressed",
                       "fills not scanned: depth at threshold")
 {
+    emitted.reserve(maxEmitted);
 }
 
 void
 ContentPrefetcher::reconfigure(const CdpConfig &new_cfg)
 {
-    cfg = new_cfg;
+    cfg = checkedWidths(new_cfg);
     predictor = Vam(cfg.vam);
 }
 
@@ -40,11 +56,15 @@ ContentPrefetcher::shouldRescan(unsigned req_depth,
            stored_depth - req_depth >= cfg.reinforceMinDelta;
 }
 
-std::vector<CdpCandidate>
+std::span<const CdpCandidate>
 ContentPrefetcher::scanFill(const std::uint8_t *line, Addr trigger_ea,
                             unsigned fill_depth, bool is_rescan)
 {
-    std::vector<CdpCandidate> out;
+    // The buffer is reused: callers consume the previous view before
+    // the next scan (MemorySystem enqueues every candidate, and
+    // enqueueing never scans).
+    std::vector<CdpCandidate> &out = emitted;
+    out.clear();
     if (!cfg.enabled)
         return out;
     if (!scansAtDepth(fill_depth)) {
@@ -59,14 +79,13 @@ ContentPrefetcher::scanFill(const std::uint8_t *line, Addr trigger_ea,
     const Addr trigger_line = lineAlign(trigger_ea);
     const unsigned child_depth = fill_depth + 1;
     const bool emit_width = !is_rescan || cfg.widthOnRescan;
-    std::unordered_set<Addr> seen;
-    seen.insert(trigger_line); // never re-request the line in hand
+    seen.emplace(trigger_line); // never re-request the line in hand
 
     unsigned hop = 0; // provenance hop index, scan-emission order
     for (Addr target : predictor.scanLine(line, trigger_ea)) {
         ++candidates;
         const Addr target_line = lineAlign(target);
-        if (seen.insert(target_line).second) {
+        if (seen.emplace(target_line).second) {
             out.push_back({target, target_line, child_depth, false,
                            hop++});
         }
@@ -74,19 +93,23 @@ ContentPrefetcher::scanFill(const std::uint8_t *line, Addr trigger_ea,
             continue;
         for (unsigned p = 1; p <= cfg.prevLines; ++p) {
             const Addr l = target_line - p * lineBytes;
-            if (l < target_line && seen.insert(l).second) {
+            if (l < target_line && seen.emplace(l).second) {
                 out.push_back({target, l, child_depth, true, hop++});
                 ++widthLines;
             }
         }
         for (unsigned n = 1; n <= cfg.nextLines; ++n) {
             const Addr l = target_line + n * lineBytes;
-            if (l > target_line && seen.insert(l).second) {
+            if (l > target_line && seen.emplace(l).second) {
                 out.push_back({target, l, child_depth, true, hop++});
                 ++widthLines;
             }
         }
     }
+    // Empty the dedupe set again: it holds exactly these lines.
+    for (const CdpCandidate &c : out)
+        seen.erase(c.lineVa);
+    seen.erase(trigger_line);
     return out;
 }
 

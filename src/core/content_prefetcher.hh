@@ -31,15 +31,23 @@
 #define CDP_CORE_CONTENT_PREFETCHER_HH
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "common/line_map.hh"
 #include "common/types.hh"
 #include "core/vam.hh"
 #include "stats/stat.hh"
 
 namespace cdp
 {
+
+/**
+ * Most next (or previous) lines one candidate may pull in; the knob
+ * table's cdp.next_lines / cdp.prev_lines maxima.
+ */
+constexpr unsigned maxWidthLines = 64;
 
 /** Configuration of the content prefetcher. */
 struct CdpConfig
@@ -118,12 +126,13 @@ class ContentPrefetcher
      *        chained prefetch)
      * @param fill_depth request depth of the fill being scanned
      * @param is_rescan true when driven by path reinforcement
-     * @return prefetches to issue, duplicates within the scan removed
+     * @return prefetches to issue, duplicates within the scan removed:
+     *         a view of a buffer the next scanFill() call reuses
      */
-    std::vector<CdpCandidate> scanFill(const std::uint8_t *line,
-                                       Addr trigger_ea,
-                                       unsigned fill_depth,
-                                       bool is_rescan = false);
+    std::span<const CdpCandidate> scanFill(const std::uint8_t *line,
+                                           Addr trigger_ea,
+                                           unsigned fill_depth,
+                                           bool is_rescan = false);
 
     /**
      * Reinforcement predicate: should a hit with @p req_depth on a
@@ -143,6 +152,7 @@ class ContentPrefetcher
     /**
      * Swap in a new configuration at runtime (used by the adaptive
      * controller). The predictor is rebuilt; counters are preserved.
+     * @throws std::invalid_argument when a width exceeds maxWidthLines
      */
     void reconfigure(const CdpConfig &new_cfg);
 
@@ -159,6 +169,20 @@ class ContentPrefetcher
      */
     CdpConfig cfg;
     Vam predictor;
+
+    /**
+     * Most candidates one scan can emit at any legal configuration:
+     * every word of the line at scan step 1, each with the maximum
+     * width on both sides.
+     */
+    static constexpr std::size_t maxEmitted =
+        (lineBytes - wordBytes + 1) * (1 + 2 * maxWidthLines);
+    /** scanFill's output, reserved to maxEmitted once (per-scan
+     *  scratch: the prefetcher is stateless between scans). */
+    std::vector<CdpCandidate> emitted;
+    /** Scan dedupe: {trigger line} U the lines emitted so far; erased
+     *  back to empty before scanFill returns. */
+    LineSet seen{maxEmitted + 1};
 
     StatGroup dummyGroup;
     Scalar scans;

@@ -84,10 +84,10 @@ Vam::classify(std::uint32_t word, Addr trigger_ea) const
     return VamVerdict::Candidate;
 }
 
-std::vector<Addr>
+VamHits
 Vam::scanLineScalar(const std::uint8_t *line, Addr trigger_ea) const
 {
-    std::vector<Addr> out;
+    VamHits out;
     for (unsigned off = 0; off + wordBytes <= lineBytes;
          off += cfg.scanStep) {
         std::uint32_t word;
@@ -98,7 +98,7 @@ Vam::scanLineScalar(const std::uint8_t *line, Addr trigger_ea) const
     return out;
 }
 
-std::vector<Addr>
+VamHits
 Vam::scanLine(const std::uint8_t *line, Addr trigger_ea) const
 {
     if (level == VamSimdLevel::Scalar)
@@ -110,7 +110,7 @@ Vam::scanLine(const std::uint8_t *line, Addr trigger_ea) const
     const std::uint64_t mask = level == VamSimdLevel::Avx2
                                    ? candidateMaskAvx2(line, trigger_ea)
                                    : candidateMaskSse2(line, trigger_ea);
-    std::vector<Addr> out;
+    VamHits out;
     for (unsigned off = 0; off + wordBytes <= lineBytes;
          off += cfg.scanStep) {
         if ((mask >> off) & 1u) {

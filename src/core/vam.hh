@@ -25,8 +25,8 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
+#include "common/inline_vec.hh"
 #include "common/types.hh"
 
 namespace cdp
@@ -45,6 +45,13 @@ struct VamConfig
 
     bool operator==(const VamConfig &) const = default;
 };
+
+/**
+ * Candidate pointer values found in one line, in scan order. A line
+ * holds at most lineBytes - wordBytes + 1 words (scan step 1), so a
+ * lineBytes-entry inline list always suffices.
+ */
+using VamHits = InlineVec<Addr, lineBytes>;
 
 /** Why a word was accepted or rejected (tests and tuning stats). */
 enum class VamVerdict
@@ -102,16 +109,15 @@ class Vam
      *        caused the fill
      * @return the candidate pointer values found, in scan order
      */
-    std::vector<Addr> scanLine(const std::uint8_t *line,
-                               Addr trigger_ea) const;
+    VamHits scanLine(const std::uint8_t *line, Addr trigger_ea) const;
 
     /**
      * The portable reference implementation of scanLine (the scalar
      * word loop). Public so the SIMD differential property tests can
      * compare every dispatch level against it.
      */
-    std::vector<Addr> scanLineScalar(const std::uint8_t *line,
-                                     Addr trigger_ea) const;
+    VamHits scanLineScalar(const std::uint8_t *line,
+                           Addr trigger_ea) const;
 
     /**
      * Highest dispatch level this build + host supports: Scalar when

@@ -127,16 +127,17 @@ OooCore::issueStage()
                 ++robFullCycles;
             break;
         }
-        if (!havePending) {
-            pending = source.next();
-            havePending = true;
+        if (fetchHead == fetchCount) {
+            source.fill(fetchBuf);
+            fetchHead = 0;
+            fetchCount = fetchBuf.size();
         }
-        const Uop &u = pending;
+        const Uop &u = fetchBuf[fetchHead];
         if (u.type == UopType::Load && loadsInRob >= cfg.loadBuffer)
             break;
         if (u.type == UopType::Store && storesInRob >= cfg.storeBuffer)
             break;
-        havePending = false;
+        ++fetchHead;
 
         Cycle ready = cycle;
         if (u.src0 != noReg)
@@ -263,8 +264,9 @@ OooCore::saveState(snap::Writer &w) const
     w.u64(cycle);
     w.u64(cycleBase);
     w.u64(fetchStalledUntil);
-    w.boolean(havePending);
-    snap::saveUop(w, pending);
+    w.u64(fetchCount - fetchHead);
+    for (std::size_t i = fetchHead; i < fetchCount; ++i)
+        snap::saveUop(w, fetchBuf[i]);
     w.u64(robCount);
     for (std::size_t i = 0; i < robCount; ++i) {
         std::size_t idx = robHead + i;
@@ -287,8 +289,14 @@ OooCore::loadState(snap::Reader &r)
     cycleBase = r.u64();
     fetchStalledUntil = r.u64();
     memWake = 0; // re-query the wake hint on the first step
-    havePending = r.boolean();
-    pending = snap::loadUop(r);
+    const std::uint64_t buffered = r.u64();
+    if (buffered > fetchBatch)
+        r.fail("fetch buffer holds " + std::to_string(buffered) +
+               " uops, capacity is " + std::to_string(fetchBatch));
+    fetchCount = static_cast<std::size_t>(buffered);
+    fetchHead = 0;
+    for (std::size_t i = 0; i < fetchCount; ++i)
+        fetchBuf[i] = snap::loadUop(r);
 
     const std::uint64_t occupancy = r.u64();
     if (occupancy > cfg.robEntries)

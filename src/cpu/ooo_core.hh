@@ -19,6 +19,7 @@
 #ifndef CDP_CPU_OOO_CORE_HH
 #define CDP_CPU_OOO_CORE_HH
 
+#include <array>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -142,11 +143,17 @@ class OooCore
 
     const Gshare &branchPredictor() const { return bp; }
 
+    /** Fetched uops not yet issued (what a checkpoint carries). */
+    std::size_t fetchBuffered() const { return fetchCount - fetchHead; }
+
+    /** Uops the core pulls from its source per UopSource::fill. */
+    static constexpr std::size_t fetchBatch = 64;
+
     /**
      * Serialize the pipeline state: clock, ROB occupancy, register
-     * ready times, the stalled fetch, and the branch predictor. The
-     * uop source serializes itself elsewhere (it belongs to the
-     * workload, not the core).
+     * ready times, the fetched-but-unissued uops, and the branch
+     * predictor. The uop source serializes itself elsewhere (it
+     * belongs to the workload, not the core).
      */
     void saveState(snap::Writer &w) const;
     void loadState(snap::Reader &r);
@@ -184,8 +191,14 @@ class OooCore
     // cdplint: transient(memWake) -- cached mem.nextEventCycle() hint; reset to 0 (re-query) on restore, so it never carries state
     /** Cached wake hint: skip mem.advance() while cycle < memWake. */
     Cycle memWake = 0;
-    Uop pending{};
-    bool havePending = false;
+    /**
+     * Fetch buffer: uops pulled from the source fetchBatch at a time
+     * and issued from fetchHead. The unissued tail [fetchHead,
+     * fetchCount) is state: the source has already moved past it.
+     */
+    std::array<Uop, fetchBatch> fetchBuf{};
+    std::size_t fetchHead = 0;
+    std::size_t fetchCount = 0;
     /**
      * The ROB as a fixed-capacity ring (capacity = cfg.robEntries,
      * sized at construction): one push and one pop per retired uop

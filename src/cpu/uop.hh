@@ -15,6 +15,7 @@
 #define CDP_CPU_UOP_HH
 
 #include <cstdint>
+#include <span>
 
 #include "common/types.hh"
 
@@ -81,6 +82,19 @@ class UopSource
 
     /** Produce the next uop of the stream. */
     virtual Uop next() = 0;
+
+    /**
+     * Produce the next out.size() uops of the stream, in order: the
+     * same uops as that many next() calls. The core fetches through
+     * this; the default loops next(), and a source overrides it only
+     * to hand out a batch without a virtual call per uop.
+     */
+    virtual void
+    fill(std::span<Uop> out)
+    {
+        for (Uop &u : out)
+            u = next();
+    }
 
     /** Short workload name for reports. */
     virtual const char *name() const = 0;

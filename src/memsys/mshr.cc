@@ -7,7 +7,7 @@ namespace cdp
 
 MshrFile::MshrFile(unsigned capacity, StatGroup *stats,
                    const std::string &name)
-    : capacity(capacity),
+    : capacity(capacity), entries(capacity),
       allocations(stats ? *stats : dummyGroup, name + ".allocations",
                   "MSHR entries allocated"),
       promotions(stats ? *stats : dummyGroup, name + ".promotions",
@@ -20,15 +20,13 @@ MshrFile::MshrFile(unsigned capacity, StatGroup *stats,
 MshrEntry *
 MshrFile::find(Addr line_pa)
 {
-    auto it = entries.find(lineAlign(line_pa));
-    return it == entries.end() ? nullptr : &it->second;
+    return entries.find(lineAlign(line_pa));
 }
 
 const MshrEntry *
 MshrFile::find(Addr line_pa) const
 {
-    auto it = entries.find(lineAlign(line_pa));
-    return it == entries.end() ? nullptr : &it->second;
+    return entries.find(lineAlign(line_pa));
 }
 
 bool
@@ -44,8 +42,9 @@ MshrFile::allocate(const MshrEntry &e)
     // fill before allocating; silently overwriting one would leak its
     // lifecycle (the pending fill event would complete a different
     // transaction than the one that scheduled it).
-    CDP_CHECK(entries.find(lineAlign(e.linePa)) == entries.end());
-    entries[lineAlign(e.linePa)] = e;
+    [[maybe_unused]] const bool fresh =
+        entries.emplace(lineAlign(e.linePa), e).second;
+    CDP_CHECK(fresh);
     ++allocations;
     return true;
 }

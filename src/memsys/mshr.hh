@@ -17,8 +17,8 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <unordered_map>
 
+#include "common/line_map.hh"
 #include "common/types.hh"
 #include "memsys/request.hh"
 #include "stats/stat.hh"
@@ -65,7 +65,8 @@ struct MshrEntry
 
 /**
  * Fixed-capacity table of in-flight fills, keyed by physical line
- * address.
+ * address. The LineMap behind it is sized from the capacity at
+ * construction, so allocate/release never touch the heap.
  */
 class MshrFile
 {
@@ -105,7 +106,7 @@ class MshrFile
     friend struct check::Access;
 
     unsigned capacity;
-    std::unordered_map<Addr, MshrEntry> entries;
+    LineMap<MshrEntry> entries;
 
     StatGroup dummyGroup;
     Scalar allocations;

@@ -8,7 +8,7 @@ namespace cdp
 
 QueuedArbiter::QueuedArbiter(unsigned capacity, StatGroup *stats,
                              const std::string &name)
-    : capacity(capacity),
+    : capacity(capacity), residentLines(capacity),
       accepted(stats ? *stats : dummyGroup, name + ".accepted",
                "requests accepted into the arbiter"),
       rejected(stats ? *stats : dummyGroup, name + ".rejected",
@@ -18,6 +18,8 @@ QueuedArbiter::QueuedArbiter(unsigned capacity, StatGroup *stats,
       issued(stats ? *stats : dummyGroup, name + ".issued",
              "requests handed to the drain logic")
 {
+    for (auto &q : queues)
+        q = RingDeque<MemRequest>(capacity);
 }
 
 bool
@@ -105,7 +107,7 @@ QueuedArbiter::dequeue()
 bool
 QueuedArbiter::contains(Addr line_va) const
 {
-    return residentLines.count(lineAlign(line_va)) != 0;
+    return residentLines.contains(lineAlign(line_va));
 }
 
 std::optional<MemRequest>
@@ -114,10 +116,10 @@ QueuedArbiter::extractPrefetch(Addr line_va)
     const Addr la = lineAlign(line_va);
     for (unsigned p = 1; p < numPriorities; ++p) {
         auto &q = queues[p];
-        for (auto it = q.begin(); it != q.end(); ++it) {
-            if (it->lineVa == la) {
-                MemRequest r = *it;
-                q.erase(it);
+        for (std::size_t i = 0; i < q.size(); ++i) {
+            if (q[i].lineVa == la) {
+                MemRequest r = q[i];
+                q.erase(i);
                 noteRemoved(la);
                 --total;
                 ++extractedCount;

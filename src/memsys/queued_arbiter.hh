@@ -19,11 +19,11 @@
 #define CDP_MEMSYS_QUEUED_ARBITER_HH
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <string>
-#include <unordered_map>
 
+#include "common/line_map.hh"
+#include "common/ring_deque.hh"
 #include "common/types.hh"
 #include "memsys/request.hh"
 #include "stats/stat.hh"
@@ -121,18 +121,23 @@ class QueuedArbiter
     /** Drop the lowest-priority resident prefetch; false if none. */
     bool dropLowestPrefetch();
 
-    void noteResident(Addr line_va) { ++residentLines[line_va]; }
+    void noteResident(Addr line_va)
+    {
+        ++*residentLines.emplace(line_va, 0).first;
+    }
     void noteRemoved(Addr line_va)
     {
-        const auto it = residentLines.find(line_va);
-        if (--it->second == 0)
-            residentLines.erase(it);
+        unsigned *n = residentLines.find(line_va);
+        if (--*n == 0)
+            residentLines.erase(line_va);
     }
 
     // cdplint: transient(capacity) -- construction-time geometry; checkpoints are taken at quiesce points
     unsigned capacity;
+    /** One FIFO per priority class, each able to hold the whole
+     *  arbiter (a class may own every slot). */
     // cdplint: transient(queues) -- saveState throws unless the arbiter is empty, so there is never queue content to serialize
-    std::deque<MemRequest> queues[numPriorities];
+    RingDeque<MemRequest> queues[numPriorities];
     /**
      * Membership index over the queues (line VA -> resident count),
      * so contains() — called once per would-be prefetch — is O(1)
@@ -140,7 +145,7 @@ class QueuedArbiter
      * membership is ever queried, never iteration order.
      */
     // cdplint: transient(residentLines) -- derived index over queues; empty whenever the (quiesced) arbiter is checkpointable
-    std::unordered_map<Addr, unsigned> residentLines;
+    LineMap<unsigned> residentLines;
     std::size_t total = 0;
 
     /**

@@ -1,6 +1,7 @@
 #include "prefetch/markov_prefetcher.hh"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "snapshot/ckpt_io.hh"
 
@@ -33,6 +34,10 @@ MarkovPrefetcher::MarkovPrefetcher(std::uint64_t capacity_bytes,
       trained(stats ? *stats : dummyGroup, name + ".trained",
               "STAB transitions recorded")
 {
+    if (fanout > maxPrefetchesPerMiss)
+        throw std::invalid_argument(
+            "MarkovPrefetcher: fan-out " + std::to_string(fanout) +
+            " exceeds " + std::to_string(maxPrefetchesPerMiss));
     if (capacity_bytes == 0) {
         entryCapacity = 0;
     } else {
@@ -104,12 +109,12 @@ MarkovPrefetcher::train(Addr prev, Addr line)
     ++trained;
 }
 
-std::vector<Addr>
+PrefetchList
 MarkovPrefetcher::observeMiss(Addr /*pc*/, Addr vaddr)
 {
     ++observed;
     const Addr line = lineAlign(vaddr);
-    std::vector<Addr> out;
+    PrefetchList out;
 
     if (Entry *e = findEntry(line)) {
         e->lruStamp = ++stamp;

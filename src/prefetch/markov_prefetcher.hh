@@ -52,12 +52,14 @@ class MarkovPrefetcher : public Prefetcher
      * @param capacity_bytes STAB budget; 0 means unbounded
      * @param ways set associativity of the bounded STAB
      * @param fanout successors kept (and predicted) per entry
+     * @throws std::invalid_argument when @p fanout exceeds
+     *         maxPrefetchesPerMiss
      */
     MarkovPrefetcher(std::uint64_t capacity_bytes, unsigned ways = 16,
                      unsigned fanout = 4, StatGroup *stats = nullptr,
                      const std::string &name = "markov");
 
-    std::vector<Addr> observeMiss(Addr pc, Addr vaddr) override;
+    PrefetchList observeMiss(Addr pc, Addr vaddr) override;
     const char *name() const override { return "markov"; }
 
     /** Entries the bounded STAB can hold (0 when unbounded). */

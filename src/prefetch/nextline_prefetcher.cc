@@ -1,5 +1,7 @@
 #include "prefetch/nextline_prefetcher.hh"
 
+#include <stdexcept>
+
 #include "snapshot/ckpt_io.hh"
 
 namespace cdp
@@ -16,19 +18,23 @@ NextLinePrefetcher::NextLinePrefetcher(unsigned degree, bool tagged,
       suppressed(stats ? *stats : dummyGroup, name + ".suppressed",
                  "predictions suppressed by the tag filter")
 {
+    if (this->degree > maxPrefetchesPerMiss)
+        throw std::invalid_argument(
+            "NextLinePrefetcher: degree " + std::to_string(degree) +
+            " exceeds " + std::to_string(maxPrefetchesPerMiss));
 }
 
-std::vector<Addr>
+PrefetchList
 NextLinePrefetcher::observeMiss(Addr /*pc*/, Addr vaddr)
 {
     ++observed;
-    std::vector<Addr> out;
+    PrefetchList out;
     const Addr base = lineAlign(vaddr);
     for (unsigned d = 1; d <= degree; ++d) {
         const Addr line = base + d * lineBytes;
         if (line < base)
             break; // wrapped past the top of the address space
-        if (tagged && recentSet.count(line)) {
+        if (tagged && recentSet.contains(line)) {
             ++suppressed;
             continue;
         }
@@ -42,28 +48,29 @@ NextLinePrefetcher::observeMiss(Addr /*pc*/, Addr vaddr)
 bool
 NextLinePrefetcher::recentlyIssued(Addr line_va) const
 {
-    return recentSet.count(lineAlign(line_va)) != 0;
+    return recentSet.contains(lineAlign(line_va));
 }
 
 void
 NextLinePrefetcher::rememberIssued(Addr line_va)
 {
     line_va = lineAlign(line_va);
-    if (recentSet.insert(line_va).second) {
-        recentFifo.push_back(line_va);
-        if (recentFifo.size() > recentCapacity) {
-            recentSet.erase(recentFifo.front());
-            recentFifo.pop_front();
-        }
+    if (recentSet.contains(line_va))
+        return;
+    if (recentFifo.full()) {
+        recentSet.erase(recentFifo.front());
+        recentFifo.pop_front();
     }
+    recentSet.emplace(line_va);
+    recentFifo.push_back(line_va);
 }
 
 void
 NextLinePrefetcher::saveState(snap::Writer &w) const
 {
     w.u64(recentFifo.size());
-    for (const Addr a : recentFifo)
-        w.u32(a);
+    for (std::size_t i = 0; i < recentFifo.size(); ++i)
+        w.u32(recentFifo[i]);
 }
 
 void
@@ -77,8 +84,12 @@ NextLinePrefetcher::loadState(snap::Reader &r)
     recentSet.clear();
     for (std::uint64_t i = 0; i < n; ++i) {
         const Addr a = r.u32();
+        // The ring holds distinct line addresses; anything else
+        // would corrupt the set that indexes it.
+        if (a != lineAlign(a) || !recentSet.emplace(a).second)
+            r.fail("next-line recent-issue ring entry " + std::to_string(i) +
+                   " is unaligned or repeated");
         recentFifo.push_back(a);
-        recentSet.insert(a);
     }
 }
 

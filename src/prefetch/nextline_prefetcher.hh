@@ -17,11 +17,10 @@
 #define CDP_PREFETCH_NEXTLINE_PREFETCHER_HH
 
 #include <cstdint>
-#include <deque>
 #include <string>
-#include <unordered_set>
-#include <vector>
 
+#include "common/line_map.hh"
+#include "common/ring_deque.hh"
 #include "common/types.hh"
 #include "prefetch/prefetcher.hh"
 #include "stats/stat.hh"
@@ -45,12 +44,14 @@ class NextLinePrefetcher : public Prefetcher
      * @param degree sequential lines fetched per observed miss
      * @param tagged when true, suppress re-issuing lines predicted
      *        recently (classic "tagged" variant)
+     * @throws std::invalid_argument when @p degree exceeds
+     *         maxPrefetchesPerMiss
      */
     explicit NextLinePrefetcher(unsigned degree = 1, bool tagged = true,
                                 StatGroup *stats = nullptr,
                                 const std::string &name = "nextline");
 
-    std::vector<Addr> observeMiss(Addr pc, Addr vaddr) override;
+    PrefetchList observeMiss(Addr pc, Addr vaddr) override;
     const char *name() const override { return "nextline"; }
 
     /** Was @p line_va recently predicted (for adjusted stats)? */
@@ -70,9 +71,9 @@ class NextLinePrefetcher : public Prefetcher
     bool tagged;
 
     static constexpr std::size_t recentCapacity = 4096;
-    std::deque<Addr> recentFifo;
+    RingDeque<Addr> recentFifo{recentCapacity};
     // cdplint: transient(recentSet) -- index over recentFifo, rebuilt from it in loadState
-    std::unordered_set<Addr> recentSet;
+    LineSet recentSet{recentCapacity};
 
     // cdplint: transient(dummyGroup, observed, issued, suppressed) -- Stats are observational, reset at warm-up end, and travel via the stats dump, not the checkpoint
     StatGroup dummyGroup;

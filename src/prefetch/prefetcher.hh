@@ -12,12 +12,22 @@
 #ifndef CDP_PREFETCH_PREFETCHER_HH
 #define CDP_PREFETCH_PREFETCHER_HH
 
-#include <vector>
-
+#include "common/inline_vec.hh"
 #include "common/types.hh"
 
 namespace cdp
 {
+
+/**
+ * Most prefetches one observed miss can produce: the stride degree
+ * and the Markov fan-out are both capped here (the knob table takes
+ * its stride.degree and markov.fanout maxima from this constant, and
+ * the prefetcher constructors refuse anything larger).
+ */
+constexpr unsigned maxPrefetchesPerMiss = 64;
+
+/** Predictions for one observed miss, held inline (no heap). */
+using PrefetchList = InlineVec<Addr, maxPrefetchesPerMiss>;
 
 /**
  * Abstract miss-driven prefetcher.
@@ -33,7 +43,7 @@ class Prefetcher
      * @param vaddr effective address that missed
      * @return virtual addresses to prefetch (possibly empty)
      */
-    virtual std::vector<Addr> observeMiss(Addr pc, Addr vaddr) = 0;
+    virtual PrefetchList observeMiss(Addr pc, Addr vaddr) = 0;
 
     /** Identifying name for stats and traces. */
     virtual const char *name() const = 0;

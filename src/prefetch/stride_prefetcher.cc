@@ -1,5 +1,7 @@
 #include "prefetch/stride_prefetcher.hh"
 
+#include <stdexcept>
+
 #include "snapshot/ckpt_io.hh"
 
 namespace cdp
@@ -15,13 +17,17 @@ StridePrefetcher::StridePrefetcher(unsigned table_entries, unsigned degree,
       issued(stats ? *stats : dummyGroup, name + ".issued",
              "stride prefetches issued")
 {
+    if (degree > maxPrefetchesPerMiss)
+        throw std::invalid_argument(
+            "StridePrefetcher: degree " + std::to_string(degree) +
+            " exceeds " + std::to_string(maxPrefetchesPerMiss));
 }
 
-std::vector<Addr>
+PrefetchList
 StridePrefetcher::observeMiss(Addr pc, Addr vaddr)
 {
     ++observed;
-    std::vector<Addr> out;
+    PrefetchList out;
     Entry &e = table[(pc >> 2) % table.size()];
 
     if (!e.valid || e.pcTag != pc) {
@@ -71,20 +77,24 @@ StridePrefetcher::observeMiss(Addr pc, Addr vaddr)
 bool
 StridePrefetcher::recentlyIssued(Addr line_va) const
 {
-    return recentSet.count(lineAlign(line_va)) != 0;
+    return recentSet.contains(lineAlign(line_va));
 }
 
 void
 StridePrefetcher::rememberIssued(Addr line_va)
 {
     line_va = lineAlign(line_va);
-    if (recentSet.insert(line_va).second) {
-        recentFifo.push_back(line_va);
-        if (recentFifo.size() > recentCapacity) {
-            recentSet.erase(recentFifo.front());
-            recentFifo.pop_front();
-        }
+    if (recentSet.contains(line_va))
+        return;
+    // Evict the oldest line first, so the set never holds more than
+    // the window (the same last-4096-distinct-lines contents as
+    // inserting first and evicting after).
+    if (recentFifo.full()) {
+        recentSet.erase(recentFifo.front());
+        recentFifo.pop_front();
     }
+    recentSet.emplace(line_va);
+    recentFifo.push_back(line_va);
 }
 
 void
@@ -100,8 +110,8 @@ StridePrefetcher::saveState(snap::Writer &w) const
     }
     // The FIFO is the source of truth; the set is rebuilt on load.
     w.u64(recentFifo.size());
-    for (const Addr a : recentFifo)
-        w.u32(a);
+    for (std::size_t i = 0; i < recentFifo.size(); ++i)
+        w.u32(recentFifo[i]);
 }
 
 void
@@ -123,8 +133,12 @@ StridePrefetcher::loadState(snap::Reader &r)
     recentSet.clear();
     for (std::uint64_t i = 0; i < n; ++i) {
         const Addr a = r.u32();
+        // The ring holds distinct line addresses; anything else
+        // would corrupt the set that indexes it.
+        if (a != lineAlign(a) || !recentSet.emplace(a).second)
+            r.fail("stride recent-issue ring entry " + std::to_string(i) +
+                   " is unaligned or repeated");
         recentFifo.push_back(a);
-        recentSet.insert(a);
     }
 }
 

@@ -16,11 +16,11 @@
 #define CDP_PREFETCH_STRIDE_PREFETCHER_HH
 
 #include <cstdint>
-#include <deque>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
+#include "common/line_map.hh"
+#include "common/ring_deque.hh"
 #include "common/types.hh"
 #include "prefetch/prefetcher.hh"
 #include "stats/stat.hh"
@@ -44,13 +44,15 @@ class StridePrefetcher : public Prefetcher
      * @param table_entries RPT entries (direct mapped on PC)
      * @param degree lines prefetched ahead once confident
      * @param conf_threshold confidence needed before prefetching
+     * @throws std::invalid_argument when @p degree exceeds
+     *         maxPrefetchesPerMiss
      */
     StridePrefetcher(unsigned table_entries = 256, unsigned degree = 2,
                      unsigned conf_threshold = 2,
                      StatGroup *stats = nullptr,
                      const std::string &name = "stride");
 
-    std::vector<Addr> observeMiss(Addr pc, Addr vaddr) override;
+    PrefetchList observeMiss(Addr pc, Addr vaddr) override;
     const char *name() const override { return "stride"; }
 
     /**
@@ -88,9 +90,9 @@ class StridePrefetcher : public Prefetcher
 
     /** Ring of recently issued line addresses (adjusted stats). */
     static constexpr std::size_t recentCapacity = 4096;
-    std::deque<Addr> recentFifo;
+    RingDeque<Addr> recentFifo{recentCapacity};
     // cdplint: transient(recentSet) -- index over recentFifo, rebuilt from it in loadState
-    std::unordered_set<Addr> recentSet;
+    LineSet recentSet{recentCapacity};
 
     // cdplint: transient(dummyGroup, observed, issued) -- Stats are observational, reset at warm-up end, and travel via the stats dump, not the checkpoint
     StatGroup dummyGroup;

@@ -9,6 +9,7 @@
 #include "core/vam.hh"
 #include "cpu/gshare.hh"
 #include "memsys/cache.hh"
+#include "prefetch/prefetcher.hh"
 #include "vm/tlb.hh"
 
 namespace cdp
@@ -78,7 +79,7 @@ const Knob knobs[] = {
      "stride|nextline"},
     {"stride.entries", F(stride.tableEntries), 1, 65536, 1, true,
      "stride table entries"},
-    {"stride.degree", F(stride.degree), 1, 64, 1, true,
+    {"stride.degree", F(stride.degree), 1, maxPrefetchesPerMiss, 1, true,
      "lines prefetched per trigger"},
     {"stride.conf_threshold", F(stride.confThreshold), 0, 3, 1, true,
      "confidence needed to prefetch"},
@@ -87,7 +88,7 @@ const Knob knobs[] = {
     {"markov.stab_kb", F(markov.stabBytes), 0, 1u << 20, 1024, true,
      "STAB budget; 0 = unbounded"},
     {"markov.ways", F(markov.ways), 1, 1024, 1, true, "STAB ways"},
-    {"markov.fanout", F(markov.fanout), 1, 64, 1, true,
+    {"markov.fanout", F(markov.fanout), 1, maxPrefetchesPerMiss, 1, true,
      "successors per STAB entry"},
     {"cdp.enabled", F(cdp.enabled), 0, 1, 1, false,
      "content-directed prefetcher"},
@@ -101,9 +102,9 @@ const Knob knobs[] = {
      "VAM scan step (bytes)"},
     {"cdp.depth", F(cdp.depthThreshold), 1, 64, 1, false,
      "request depth where chains stop"},
-    {"cdp.next_lines", F(cdp.nextLines), 0, 64, 1, false,
+    {"cdp.next_lines", F(cdp.nextLines), 0, maxWidthLines, 1, false,
      "lines fetched after each candidate"},
-    {"cdp.prev_lines", F(cdp.prevLines), 0, 64, 1, false,
+    {"cdp.prev_lines", F(cdp.prevLines), 0, maxWidthLines, 1, false,
      "lines fetched before each candidate"},
     {"cdp.reinforce", F(cdp.reinforce), 0, 1, 1, false,
      "path reinforcement (UL2 depth tags)"},
@@ -129,10 +130,10 @@ const Knob knobs[] = {
      "compare-bit ceiling"},
     {"adaptive.adjust_width", F(adaptive.adjustWidth), 0, 1, 1, false,
      "may trade next-line width"},
-    {"adaptive.min_next_lines", F(adaptive.minNextLines), 0, 64, 1, false,
-     "next-line floor"},
-    {"adaptive.max_next_lines", F(adaptive.maxNextLines), 0, 64, 1, false,
-     "next-line ceiling"},
+    {"adaptive.min_next_lines", F(adaptive.minNextLines), 0, maxWidthLines,
+     1, false, "next-line floor"},
+    {"adaptive.max_next_lines", F(adaptive.maxNextLines), 0, maxWidthLines,
+     1, false, "next-line ceiling"},
     {"pollution.enabled", F(pollution.enabled), 0, 1, 1, true,
      "bad prefetches on idle bus slots"},
     {"pollution.seed", F(pollution.seed), 0, u64Max, 1, true,

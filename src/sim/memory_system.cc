@@ -494,7 +494,9 @@ MemorySystem::scanAndEnqueue(Addr line_pa, Addr trigger_ea,
         return;
     std::uint8_t buf[lineBytes];
     backing.readLine(line_pa, buf);
-    const std::vector<CdpCandidate> cands =
+    // A view of the prefetcher's reused buffer; safe to walk because
+    // enqueuePrefetch never scans again.
+    const std::span<const CdpCandidate> cands =
         cdp.scanFill(buf, trigger_ea, depth, is_rescan);
     if (trc.active())
         trc.record(obs::EventKind::Scan, now, line_pa, root, root,
@@ -576,7 +578,7 @@ MemorySystem::completeFill(Addr line_pa, Cycle when)
                    false, when);
 }
 
-std::vector<Addr>
+PrefetchList
 MemorySystem::baselineObserve(Addr pc, Addr vaddr)
 {
     if (nextline)

@@ -285,7 +285,7 @@ class MemorySystem : public CoreMemIf
     void maybeInjectPollution(Cycle now);
 
     /** Baseline prefetcher predictions for one observed miss. */
-    std::vector<Addr> baselineObserve(Addr pc, Addr vaddr);
+    PrefetchList baselineObserve(Addr pc, Addr vaddr);
 
     /** Did the baseline prefetcher recently cover @p line_va? */
     bool baselineRecentlyIssued(Addr line_va) const;

@@ -227,4 +227,12 @@ CapturingSource::next()
     return u;
 }
 
+void
+CapturingSource::fill(std::span<Uop> out)
+{
+    inner.fill(out);
+    for (const Uop &u : out)
+        writer.append(u);
+}
+
 } // namespace cdp

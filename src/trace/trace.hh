@@ -130,7 +130,9 @@ class TraceSource : public UopSource
 };
 
 /**
- * Pass-through UopSource that captures everything it forwards.
+ * Pass-through UopSource that captures everything it forwards,
+ * including uops a batched fetch buffers but the run never retires
+ * (a replay of the same length reads the same prefix).
  */
 class CapturingSource : public UopSource
 {
@@ -139,6 +141,8 @@ class CapturingSource : public UopSource
                     const std::string &workload_tag);
 
     Uop next() override;
+    /** Forwards the batch to the inner source, then records it. */
+    void fill(std::span<Uop> out) override;
     const char *name() const override { return inner.name(); }
 
     /** Stop capturing and finalize the file. */

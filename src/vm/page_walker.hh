@@ -14,8 +14,8 @@
 
 #include <cstdint>
 #include <optional>
-#include <vector>
 
+#include "common/inline_vec.hh"
 #include "common/types.hh"
 #include "stats/stat.hh"
 #include "vm/page_table.hh"
@@ -30,7 +30,7 @@ struct WalkResult
     /** Physical frame base of the translated page; nullopt = fault. */
     std::optional<Addr> framePa;
     /** Physical addresses read during the walk (PDE, then PTE). */
-    std::vector<Addr> accesses;
+    InlineVec<Addr, 2> accesses;
 };
 
 /**

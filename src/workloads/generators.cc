@@ -503,7 +503,7 @@ MixGen::adopt(std::unique_ptr<HeapAllocator> aux)
 }
 
 void
-MixGen::add(std::unique_ptr<UopSource> src, double weight)
+MixGen::add(std::unique_ptr<BlockUopSource> src, double weight)
 {
     if (weight <= 0.0)
         return;
@@ -512,18 +512,33 @@ MixGen::add(std::unique_ptr<UopSource> src, double weight)
     cumWeights.push_back(totalWeight);
 }
 
+BlockUopSource &
+MixGen::pick()
+{
+    const double at = rng.uniform() * totalWeight;
+    const auto it =
+        std::upper_bound(cumWeights.begin(), cumWeights.end(), at);
+    const std::size_t idx = std::min<std::size_t>(
+        static_cast<std::size_t>(it - cumWeights.begin()),
+        sources.size() - 1);
+    return *sources[idx];
+}
+
 Uop
 MixGen::next()
 {
     if (sources.empty())
         throw std::runtime_error("MixGen: no sources");
-    const double pick = rng.uniform() * totalWeight;
-    const auto it =
-        std::upper_bound(cumWeights.begin(), cumWeights.end(), pick);
-    const std::size_t idx = std::min<std::size_t>(
-        static_cast<std::size_t>(it - cumWeights.begin()),
-        sources.size() - 1);
-    return sources[idx]->next();
+    return pick().take();
+}
+
+void
+MixGen::fill(std::span<Uop> out)
+{
+    if (sources.empty())
+        throw std::runtime_error("MixGen: no sources");
+    for (Uop &u : out)
+        u = pick().take();
 }
 
 void

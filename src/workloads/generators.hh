@@ -37,8 +37,14 @@ namespace cdp
 class BlockUopSource : public UopSource
 {
   public:
+    Uop next() override { return take(); }
+
+    /**
+     * The next uop, without a virtual call: what next() returns and
+     * what MixGen::fill hands out.
+     */
     Uop
-    next() override
+    take()
     {
         // A block is always fully consumed before the next one is
         // staged, so the queue is a flat vector with a read cursor
@@ -391,7 +397,7 @@ class MixGen : public UopSource
     MixGen(std::string mix_name, std::uint64_t seed);
 
     /** Add a sub-source with a selection weight. */
-    void add(std::unique_ptr<UopSource> src, double weight);
+    void add(std::unique_ptr<BlockUopSource> src, double weight);
 
     /**
      * Take ownership of an auxiliary object (e.g. the allocator of a
@@ -400,6 +406,8 @@ class MixGen : public UopSource
     void adopt(std::unique_ptr<HeapAllocator> aux);
 
     Uop next() override;
+    /** One selector draw per slot, exactly as next() makes. */
+    void fill(std::span<Uop> out) override;
     const char *name() const override { return mixName.c_str(); }
 
     /**
@@ -411,10 +419,13 @@ class MixGen : public UopSource
     void loadState(snap::Reader &r) override;
 
   private:
+    /** Draw the sub-source for the next uop (one RNG draw). */
+    BlockUopSource &pick();
+
     // cdplint: transient(mixName, cumWeights, totalWeight) -- mix recipe is construction-time; only the constituent sources and the selector RNG travel
     std::string mixName;
     Rng rng;
-    std::vector<std::unique_ptr<UopSource>> sources;
+    std::vector<std::unique_ptr<BlockUopSource>> sources;
     std::vector<std::unique_ptr<HeapAllocator>> auxiliaries;
     std::vector<double> cumWeights;
     double totalWeight = 0.0;

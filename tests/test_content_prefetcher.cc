@@ -7,7 +7,10 @@
 
 #include <cstring>
 #include <set>
+#include <unordered_set>
+#include <vector>
 
+#include "common/rng.hh"
 #include "core/content_prefetcher.hh"
 
 using namespace cdp;
@@ -244,4 +247,100 @@ TEST(ContentPfProperty, EmittedSetMatchesSpec)
         EXPECT_TRUE(got.insert(cand.lineVa).second)
             << "duplicate line emitted";
     EXPECT_EQ(got, expect);
+}
+
+namespace
+{
+
+/**
+ * Reference scanFill: the original allocating algorithm, with a fresh
+ * std::unordered_set per scan, kept here as the oracle for the
+ * member-buffer implementation.
+ */
+std::vector<CdpCandidate>
+referenceScan(const CdpConfig &c, const std::uint8_t *line, Addr ea,
+              unsigned fill_depth, bool is_rescan)
+{
+    std::vector<CdpCandidate> out;
+    if (!c.enabled || fill_depth >= c.depthThreshold)
+        return out;
+    const Vam vam(c.vam);
+    const Addr trigger_line = lineAlign(ea);
+    const unsigned child = fill_depth + 1;
+    const bool emit_width = !is_rescan || c.widthOnRescan;
+    std::unordered_set<Addr> seen{trigger_line};
+    unsigned hop = 0;
+    for (Addr target : vam.scanLine(line, ea)) {
+        const Addr t = lineAlign(target);
+        if (seen.insert(t).second)
+            out.push_back({target, t, child, false, hop++});
+        if (!emit_width)
+            continue;
+        for (unsigned p = 1; p <= c.prevLines; ++p) {
+            const Addr l = t - p * lineBytes;
+            if (l < t && seen.insert(l).second)
+                out.push_back({target, l, child, true, hop++});
+        }
+        for (unsigned n = 1; n <= c.nextLines; ++n) {
+            const Addr l = t + n * lineBytes;
+            if (l > t && seen.insert(l).second)
+                out.push_back({target, l, child, true, hop++});
+        }
+    }
+    return out;
+}
+
+} // namespace
+
+TEST(ContentPfProperty, KnobCornerMatchesReferenceDedupe)
+{
+    // cdp.scan_step=1 cdp.prev_lines=64 cdp.next_lines=64: up to
+    // 61 words x 129 lines per scan. Every scan must equal the
+    // reference, and the reused buffer and dedupe set must carry
+    // nothing from one scan into the next.
+    CdpConfig c = baseConfig();
+    c.vam = VamConfig{4, 0, 0, 1};
+    c.prevLines = maxWidthLines;
+    c.nextLines = maxWidthLines;
+    c.widthOnRescan = true;
+    ContentPrefetcher pf(c);
+    Rng rng(2002);
+    std::size_t largest = 0;
+    for (int t = 0; t < 200; ++t) {
+        std::uint8_t line[lineBytes];
+        // High nibble 1 in every byte: every word at every byte
+        // offset shares the trigger's top 4 bits (the maximal scan);
+        // every fourth line is plain noise instead.
+        for (auto &b : line)
+            b = static_cast<std::uint8_t>(
+                t % 4 == 3 ? rng.next32() : 0x10 | (rng.next32() & 0xf));
+        const Addr ea = 0x10000000 | (rng.next32() & 0x0fffffff);
+        const unsigned depth = static_cast<unsigned>(rng.below(4));
+        const bool rescan = rng.chance(0.25);
+        const auto got = pf.scanFill(line, ea, depth, rescan);
+        const auto want = referenceScan(c, line, ea, depth, rescan);
+        ASSERT_EQ(got.size(), want.size()) << "scan " << t;
+        for (std::size_t i = 0; i < want.size(); ++i) {
+            ASSERT_EQ(got[i].vaddr, want[i].vaddr) << t << "/" << i;
+            ASSERT_EQ(got[i].lineVa, want[i].lineVa) << t << "/" << i;
+            ASSERT_EQ(got[i].depth, want[i].depth) << t << "/" << i;
+            ASSERT_EQ(got[i].widthLine, want[i].widthLine)
+                << t << "/" << i;
+            ASSERT_EQ(got[i].hop, want[i].hop) << t << "/" << i;
+        }
+        largest = std::max(largest, got.size());
+    }
+    // The corner was really exercised: most of 61 x 129 lines.
+    EXPECT_GT(largest, 61u * 129u / 2);
+}
+
+TEST(ContentPf, WidthBeyondTheKnobMaximumIsRefused)
+{
+    CdpConfig c = baseConfig();
+    c.nextLines = maxWidthLines + 1;
+    EXPECT_THROW(ContentPrefetcher pf(c), std::invalid_argument);
+    ContentPrefetcher pf(baseConfig());
+    c = baseConfig();
+    c.prevLines = maxWidthLines + 1;
+    EXPECT_THROW(pf.reconfigure(c), std::invalid_argument);
 }

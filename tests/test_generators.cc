@@ -6,9 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <span>
+#include <string>
+#include <vector>
 
+#include "sim/simulator.hh"
 #include "workloads/generators.hh"
+#include "workloads/suite.hh"
 
 using namespace cdp;
 
@@ -231,3 +237,65 @@ TEST_F(GenFixture, GeneratorsAreDeterministicPerSeed)
         t2.push_back(g2->next().type);
     EXPECT_EQ(t1, t2);
 }
+
+namespace
+{
+
+bool
+sameUop(const Uop &a, const Uop &b)
+{
+    return a.type == b.type && a.pc == b.pc && a.vaddr == b.vaddr &&
+           a.src0 == b.src0 && a.src1 == b.src1 && a.dst == b.dst &&
+           a.taken == b.taken && a.pointerLoad == b.pointerLoad;
+}
+
+std::vector<std::string>
+everyWorkload()
+{
+    std::vector<std::string> names;
+    for (const auto &s : table2Suite())
+        names.push_back(s.name);
+    for (const auto &s : extraWorkloads())
+        names.push_back(s.name);
+    return names;
+}
+
+class MixGenFill : public ::testing::TestWithParam<std::string>
+{
+};
+
+} // namespace
+
+TEST_P(MixGenFill, BatchesMatchRepeatedNext)
+{
+    // The core fetches through fill(); MixGen::fill must make the
+    // same selector draw per slot as next() and hand out the same
+    // uops, whatever the batch size.
+    SimConfig cfg;
+    cfg.workload = GetParam();
+    constexpr std::size_t n = 3000;
+    Simulator ref(cfg);
+    std::vector<Uop> expect(n);
+    for (Uop &u : expect)
+        u = ref.workload().next();
+
+    for (const std::size_t batch : {1, 7, 64}) {
+        Simulator sim(cfg);
+        std::vector<Uop> got(n);
+        for (std::size_t i = 0; i < n; i += batch)
+            sim.workload().fill(
+                std::span<Uop>(got).subspan(i, std::min(batch, n - i)));
+        for (std::size_t i = 0; i < n; ++i)
+            ASSERT_TRUE(sameUop(got[i], expect[i]))
+                << "batch " << batch << " uop " << i;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryWorkload, MixGenFill, ::testing::ValuesIn(everyWorkload()),
+    [](const ::testing::TestParamInfo<std::string> &info) {
+        std::string id = info.param;
+        std::replace(id.begin(), id.end(), '-', '_');
+        std::replace(id.begin(), id.end(), '.', '_');
+        return id;
+    });

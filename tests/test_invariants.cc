@@ -137,7 +137,7 @@ TEST(InvariantDeath, MshrIllegalPromotionState)
     ASSERT_TRUE(mshrs.allocate(prefetchEntry(0x4000, 1)));
     // A promoted entry that is still prefetch-class is outside the
     // merge/promotion FSM (promote() reclassifies to demand).
-    check::Access::entries(mshrs).begin()->second.promoted = true;
+    check::Access::entries(mshrs).find(0x4000)->promoted = true;
     EXPECT_DEATH(check::auditMshr(mshrs, 3, "mshr"), "promoted");
 }
 

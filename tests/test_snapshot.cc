@@ -88,6 +88,24 @@ TEST(SnapshotRoundTrip, EmptyMachine)
     expectDifferentialEquivalence(c, /*warm=*/0, /*measure=*/20'000);
 }
 
+TEST(SnapshotRoundTrip, FetchBufferPartlyConsumed)
+{
+    // A warm-up that is no multiple of the fetch batch leaves fetched
+    // but unissued uops in the core; the CORE section carries them
+    // (format 4), so the restored run is byte-identical.
+    SimConfig c;
+    c.workload = "specjbb-vsnet";
+    constexpr std::uint64_t warm = 20'011;
+    {
+        Simulator probe(c);
+        probe.warmup(warm);
+        probe.quiesce();
+        ASSERT_GT(probe.core().fetchBuffered(), 0u);
+        ASSERT_LT(probe.core().fetchBuffered(), OooCore::fetchBatch);
+    }
+    expectDifferentialEquivalence(c, warm, /*measure=*/30'000);
+}
+
 TEST(SnapshotRoundTrip, WarmedCachesWithDepthTags)
 {
     SimConfig c;
@@ -302,6 +320,19 @@ TEST_F(SnapshotCorruption, VersionSkewIsRejectedWithBothVersions)
                        std::to_string(snap::formatVersion)),
               std::string::npos)
         << err;
+}
+
+TEST_F(SnapshotCorruption, FormatThreeFileIsRejected)
+{
+    // Format 3 predates the fetch buffer in the CORE section; its
+    // files fail the version check instead of misreading CORE.
+    ASSERT_EQ(snap::formatVersion, 4u);
+    std::string old = bytes;
+    old[8] = 3; // little-endian u32 right after the magic
+    const std::string err = restoreError(old);
+    EXPECT_NE(err.find("version skew"), std::string::npos) << err;
+    EXPECT_NE(err.find("file has version 3"), std::string::npos) << err;
+    EXPECT_NE(err.find("reads version 4"), std::string::npos) << err;
 }
 
 TEST_F(SnapshotCorruption, WrongSectionTagIsRejected)

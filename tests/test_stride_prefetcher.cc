@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "prefetch/stride_prefetcher.hh"
+#include "snapshot/ckpt_io.hh"
 
 using namespace cdp;
 
@@ -137,7 +140,7 @@ TEST_P(StrideSweep, ConvergesAndLeads)
     const std::int32_t stride = GetParam();
     StridePrefetcher pf(256, 1, 2);
     Addr a = 0x100000;
-    std::vector<Addr> preds;
+    PrefetchList preds;
     for (int i = 0; i < 12; ++i) {
         preds = pf.observeMiss(0x400, a);
         a += static_cast<Addr>(stride);
@@ -150,3 +153,33 @@ TEST_P(StrideSweep, ConvergesAndLeads)
 INSTANTIATE_TEST_SUITE_P(Strides, StrideSweep,
                          ::testing::Values(64, 128, 256, -64, -128,
                                            192, 1024));
+
+TEST(Stride, RestoreRefusesABadRecentRing)
+{
+    // The recent ring indexes a line set: an unaligned or repeated
+    // line in a checkpoint must fail the restore, not corrupt the set.
+    for (const Addr bad : {Addr{0x2001}, Addr{0x1000}}) {
+        std::ostringstream os;
+        snap::Writer w(os);
+        w.beginSection("STRD");
+        w.u64(4); // RPT entries
+        for (int e = 0; e < 4; ++e) {
+            w.u32(0);
+            w.u32(0);
+            w.u32(0);
+            w.u64(0);
+            w.boolean(false);
+        }
+        w.u64(2);
+        w.u32(0x1000);
+        w.u32(bad);
+        w.endSection();
+        w.finish();
+
+        StridePrefetcher pf(4, 2, 2);
+        std::istringstream is(os.str());
+        snap::Reader r(is);
+        r.enterSection("STRD");
+        EXPECT_THROW(pf.loadState(r), snap::SnapshotError) << bad;
+    }
+}

@@ -307,7 +307,7 @@ TEST(VamProperty, ClassifyAgreesWithScanLine)
         for (auto &b : line)
             b = static_cast<std::uint8_t>(rng.next32());
         const Addr ea = 0x10000000 + (rng.next32() & 0xffff);
-        std::vector<Addr> expect;
+        VamHits expect;
         for (unsigned off = 0; off + 4 <= lineBytes; off += 2) {
             std::uint32_t w;
             std::memcpy(&w, line + off, 4);

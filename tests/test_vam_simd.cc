@@ -39,7 +39,7 @@ simdLevels()
 void
 expectLineAgrees(Vam &vam, const std::uint8_t *line, Addr ea)
 {
-    const std::vector<Addr> ref = vam.scanLineScalar(line, ea);
+    const VamHits ref = vam.scanLineScalar(line, ea);
     for (const VamSimdLevel l : simdLevels()) {
         vam.forceSimdLevel(l);
         EXPECT_EQ(vam.scanLine(line, ea), ref)

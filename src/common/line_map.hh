@@ -10,6 +10,7 @@
 #ifndef CDP_COMMON_LINE_MAP_HH
 #define CDP_COMMON_LINE_MAP_HH
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
@@ -113,6 +114,25 @@ class LineMap
         slots[i].key = emptyKey;
         --count;
         return 1;
+    }
+
+    /**
+     * Make room for @p max_entries at the construction load factor,
+     * rehashing into a table at least twice as large when this one is
+     * too small. For owners with no fixed bound (the backing store's
+     * frame index); the request-path maps keep their construction
+     * size and never call it.
+     */
+    void
+    reserve(std::size_t max_entries)
+    {
+        if (2 * max_entries <= slots.size())
+            return;
+        LineMap bigger(std::max(max_entries, slots.size()));
+        forEach([&](Addr key, const V &value) {
+            bigger.emplace(key, value);
+        });
+        *this = std::move(bigger);
     }
 
     void

@@ -64,13 +64,20 @@ class Rng
     }
 
     /** Uniform double in [0, 1). */
-    double
-    uniform()
+    double uniform() { return unit(next64()); }
+
+    /** The uniform() value of raw draw @p x. */
+    static double
+    unit(std::uint64_t x)
     {
-        return static_cast<double>(next64() >> 11) * 0x1.0p-53;
+        return static_cast<double>(x >> 11) * 0x1.0p-53;
     }
 
-    /** Bernoulli trial with probability p. */
+    /**
+     * Bernoulli trial with probability p. chance(0.5) is true exactly
+     * when the draw's top bit is 0: unit() is exact, and it is below
+     * 0.5 iff x >> 11 is below 2^52.
+     */
     bool chance(double p) { return uniform() < p; }
 
     /** Export the raw state words (checkpointing). */

@@ -2,47 +2,47 @@
 
 #include <algorithm>
 #include <cstring>
-#include <vector>
+#include <string>
 
 #include "snapshot/ckpt_io.hh"
 
 namespace cdp
 {
 
+BackingStore::Frame *
+BackingStore::addFrame(Addr page)
+{
+    Frame *f;
+    if (!spare.empty()) {
+        f = spare.back();
+        spare.pop_back();
+    } else {
+        if (chunkLeft == 0) {
+            chunks.push_back(
+                std::make_unique_for_overwrite<Frame[]>(framesPerChunk));
+            chunkLeft = framesPerChunk;
+        }
+        f = &chunks.back()[framesPerChunk - chunkLeft--];
+    }
+    frames.reserve(frames.size() + 1);
+    frames.emplace(page, f);
+    return f;
+}
+
 BackingStore::Frame &
 BackingStore::frameFor(Addr pa)
 {
-    const Addr page = pageNumber(pa);
-    if (page == lastPage)
-        return *lastFrame;
-    auto &slot = frames[page];
-    if (!slot) {
-        slot = std::make_unique<Frame>();
-        slot->fill(0);
-    }
-    lastPage = page;
-    lastFrame = slot.get();
-    return *slot;
-}
-
-const BackingStore::Frame *
-BackingStore::frameForRead(Addr pa) const
-{
-    const Addr page = pageNumber(pa);
-    if (page == lastPage)
-        return lastFrame;
-    auto it = frames.find(page);
-    if (it == frames.end())
-        return nullptr;
-    lastPage = page;
-    lastFrame = it->second.get();
-    return it->second.get();
+    if (Frame *f = find(pa))
+        return *f;
+    Frame *f = addFrame(pageAlign(pa));
+    f->fill(0);
+    return *f;
 }
 
 std::uint8_t
 BackingStore::read8(Addr pa) const
 {
-    const Frame *f = frameForRead(pa);
+    const Frame *f = find(pa);
     return f ? (*f)[pageOffset(pa)] : 0;
 }
 
@@ -57,7 +57,7 @@ BackingStore::read32(Addr pa) const
 {
     // Fast path: word fully inside one frame.
     if (pageOffset(pa) <= pageBytes - 4) {
-        const Frame *f = frameForRead(pa);
+        const Frame *f = find(pa);
         if (!f)
             return 0;
         std::uint32_t v;
@@ -85,12 +85,10 @@ void
 BackingStore::readLine(Addr pa, std::uint8_t *out) const
 {
     const Addr base = lineAlign(pa);
-    const Frame *f = frameForRead(base);
-    if (f) {
+    if (const Frame *f = find(base))
         std::memcpy(out, f->data() + pageOffset(base), lineBytes);
-    } else {
+    else
         std::memset(out, 0, lineBytes);
-    }
 }
 
 void
@@ -103,18 +101,17 @@ BackingStore::write(Addr pa, const std::uint8_t *src, Addr len)
 void
 BackingStore::saveState(snap::Writer &w) const
 {
-    // Key-sorted iteration: the map is hash-ordered, the checkpoint
-    // must be byte-deterministic.
+    // Key-sorted: the index is hash-ordered, the checkpoint must be
+    // byte-deterministic.
     std::vector<Addr> pages;
     pages.reserve(frames.size());
-    for (const auto &kv : frames)
-        pages.push_back(kv.first);
+    frames.forEach([&](Addr page, Frame *) { pages.push_back(page); });
     std::sort(pages.begin(), pages.end());
 
     w.u64(pages.size());
     for (const Addr page : pages) {
-        w.u32(page);
-        w.bytes(frames.at(page)->data(), pageBytes);
+        w.u32(pageNumber(page));
+        w.bytes(find(page)->data(), pageBytes);
     }
 }
 
@@ -122,20 +119,32 @@ void
 BackingStore::loadState(snap::Reader &r)
 {
     const std::uint64_t n = r.u64();
-    frames.clear();
-    lastPage = ~Addr{0};
-    lastFrame = nullptr;
-    frames.reserve(n);
-    Addr prev = 0;
+    std::vector<Addr> kept; // page bases the checkpoint holds, ascending
     for (std::uint64_t i = 0; i < n; ++i) {
         const Addr page = r.u32();
-        if (i > 0 && page <= prev)
+        if (page > pageNumber(~Addr{0}))
+            r.fail("backing-store page number " + std::to_string(page) +
+                   " lies beyond the 32-bit physical space");
+        const Addr base = page << pageShift;
+        if (!kept.empty() && base <= kept.back())
             r.fail("backing-store page numbers not strictly increasing");
-        prev = page;
-        auto frame = std::make_unique<Frame>();
-        r.bytes(frame->data(), pageBytes);
-        frames[page] = std::move(frame);
+        Frame *f = find(base);
+        if (!f)
+            f = addFrame(base);
+        r.bytes(f->data(), pageBytes);
+        kept.push_back(base);
     }
+    // Drop the frames the checkpoint lacks; their pages read zero.
+    std::vector<Addr> stale;
+    frames.forEach([&](Addr page, Frame *) {
+        if (!std::binary_search(kept.begin(), kept.end(), page))
+            stale.push_back(page);
+    });
+    for (const Addr page : stale) {
+        spare.push_back(find(page));
+        frames.erase(page);
+    }
+    lastPage = ~Addr{0};
 }
 
 } // namespace cdp

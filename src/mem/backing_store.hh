@@ -16,8 +16,9 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
+#include <vector>
 
+#include "common/line_map.hh"
 #include "common/types.hh"
 
 namespace cdp
@@ -33,6 +34,10 @@ class Reader;
  * Lazily allocated, frame-granular physical memory. Reads of frames
  * that were never written return zero bytes, mirroring a zero-filled
  * fresh page.
+ *
+ * Frames are indexed by page in an open-addressed LineMap and carved
+ * out of chunked arenas, so materializing a frame is no heap
+ * allocation in the common case.
  */
 class BackingStore
 {
@@ -66,9 +71,9 @@ class BackingStore
 
     /**
      * Host pointer to the base of the frame holding @p pa,
-     * materializing it zero-filled. Frames are never deallocated
-     * except by loadState(), so the pointer stays valid until then —
-     * callers memoizing it must reset on restore.
+     * materializing it zero-filled. Frames never move; only
+     * loadState() takes one away (a page the checkpoint lacks), so
+     * callers memoizing the pointer must reset on restore.
      */
     std::uint8_t *pageData(Addr pa) { return frameFor(pa).data(); }
 
@@ -77,42 +82,67 @@ class BackingStore
      * never materialized (reads of such pages see zero bytes). Same
      * lifetime guarantee as pageData().
      */
-    std::uint8_t *pageDataIfPresent(Addr pa)
+    std::uint8_t *
+    pageDataIfPresent(Addr pa) const
     {
-        const Addr page = pageNumber(pa);
-        if (page == lastPage)
-            return lastFrame->data();
-        auto it = frames.find(page);
-        if (it == frames.end())
-            return nullptr;
-        lastPage = page;
-        lastFrame = it->second.get();
-        return lastFrame->data();
+        Frame *f = find(pa);
+        return f ? f->data() : nullptr;
     }
 
     /** Serialize every materialized frame in page-number order. */
     void saveState(snap::Writer &w) const;
 
-    /** Replace all contents with the checkpointed frames. */
+    /**
+     * Replace all contents with the checkpointed frames: frames this
+     * store already holds are overwritten in place, the ones the
+     * checkpoint lacks are dropped (they read as zero again).
+     */
     void loadState(snap::Reader &r);
 
   private:
     using Frame = std::array<std::uint8_t, pageBytes>;
 
+    /**
+     * Frames carved per arena chunk: 64 KB, under glibc's initial
+     * mmap threshold, so chunks come from the allocator's heap like
+     * any small block. 256 KB chunks crossed the threshold, which then
+     * moves with every free, and raised a long warm-fork run's peak
+     * RSS by about 4 MB.
+     */
+    static constexpr std::size_t framesPerChunk = 16;
+
+    /** The frame holding @p pa, or nullptr if never materialized. */
+    Frame *
+    find(Addr pa) const
+    {
+        const Addr page = pageAlign(pa);
+        if (page == lastPage)
+            return lastFrame;
+        Frame *const *f = frames.find(page);
+        if (!f)
+            return nullptr;
+        lastPage = page;
+        lastFrame = *f;
+        return lastFrame;
+    }
+
     /** Get the frame holding @p pa, creating it zero-filled. */
     Frame &frameFor(Addr pa);
 
-    /** Get the frame holding @p pa, or nullptr if never written. */
-    const Frame *frameForRead(Addr pa) const;
+    /** Index a frame with unspecified contents for page base @p page. */
+    Frame *addFrame(Addr page);
 
-    std::unordered_map<Addr, std::unique_ptr<Frame>> frames;
+    /** Page base address -> frame. */
+    LineMap<Frame *> frames{0};
+    // cdplint: transient(chunks, chunkLeft, spare) -- arena storage behind frames; the frames' contents travel through frames
+    std::vector<std::unique_ptr<Frame[]>> chunks;
+    std::size_t chunkLeft = 0;  //!< unused frames in chunks.back()
+    std::vector<Frame *> spare; //!< frames dropped by loadState
 
-    // cdplint: transient(lastPage, lastFrame) -- pure lookup memo over the frame map; frame storage is stable (unique_ptr) and loadState resets it
+    // cdplint: transient(lastPage, lastFrame) -- one-entry memo over the frame index; only materialized frames are cached and loadState resets it
     /**
-     * One-entry frame-lookup memo (reads and writes). Only
-     * *materialized* frames are cached, so a hit is always valid:
-     * frames are never deallocated except by loadState(), which
-     * resets the memo.
+     * The last frame find() returned: the page walker and the line
+     * reads of one fill burst mostly revisit the same few pages.
      */
     mutable Addr lastPage = ~Addr{0};
     mutable Frame *lastFrame = nullptr;

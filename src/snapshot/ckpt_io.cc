@@ -1,5 +1,7 @@
 #include "snapshot/ckpt_io.hh"
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
 #include <istream>
 #include <ostream>
@@ -17,15 +19,44 @@ constexpr std::size_t magicLen = 8;
 constexpr char endTag[] = "END!";
 constexpr std::size_t tagLen = 4;
 
-/** FNV-1a 64-bit over a byte buffer. */
+/** Bytes read per step before the stream has proven it holds more. */
+constexpr std::size_t readChunk = std::size_t{16} << 20;
+
+/** Little-endian u64 at @p p (compiles to one load on LE hosts). */
 std::uint64_t
-fnv1a(const std::string &data)
+loadLe64(const char *p)
 {
-    std::uint64_t h = 1469598103934665603ull;
-    for (const char c : data) {
-        h ^= static_cast<std::uint8_t>(c);
-        h *= 1099511628211ull;
-    }
+    std::uint64_t v = 0;
+    for (unsigned i = 0; i < 8; ++i)
+        v |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(p[i]))
+             << (8 * i);
+    return v;
+}
+
+void
+storeLe64(char *out, std::uint64_t v)
+{
+    for (unsigned i = 0; i < 8; ++i)
+        out[i] = static_cast<char>((v >> (8 * i)) & 0xff);
+}
+
+/**
+ * Section checksum (DESIGN.md §11): h = rotl((h ^ w) * k, 31) over the
+ * payload's little-endian 8-byte words, then over its tail bytes, from
+ * a seed that folds in the length. Each step is a bijection of h for a
+ * fixed word and of the word for a fixed h, so changing any one word
+ * or tail byte always changes the sum.
+ */
+std::uint64_t
+checksum(const char *p, std::size_t n)
+{
+    constexpr std::uint64_t k = 0x9e3779b97f4a7c15ull; // odd
+    std::uint64_t h = 0xcbf29ce484222325ull ^ n;
+    std::size_t i = 0;
+    for (; i + 8 <= n; i += 8)
+        h = std::rotl((h ^ loadLe64(p + i)) * k, 31);
+    for (; i < n; ++i)
+        h = std::rotl((h ^ static_cast<std::uint8_t>(p[i])) * k, 31);
     return h;
 }
 
@@ -74,11 +105,14 @@ Writer::endSection()
 {
     if (!inSection)
         throw SnapshotError("endSection with no open section");
-    std::string frame = curTag;
-    putLe64(frame, buf.size());
-    frame += buf;
-    putLe64(frame, fnv1a(buf));
-    os.write(frame.data(), static_cast<std::streamsize>(frame.size()));
+    char head[tagLen + 8];
+    std::memcpy(head, curTag.data(), tagLen);
+    storeLe64(head + tagLen, buf.size());
+    char sum[8];
+    storeLe64(sum, checksum(buf.data(), buf.size()));
+    os.write(head, sizeof(head));
+    os.write(buf.data(), static_cast<std::streamsize>(buf.size()));
+    os.write(sum, sizeof(sum));
     if (!os)
         throw SnapshotError("checkpoint write failed (section '" +
                             curTag + "')");
@@ -211,31 +245,32 @@ Reader::enterSection(const char *tag)
     if (is.gcount() != 8)
         throw SnapshotError(std::string("truncated checkpoint: section '") +
                             tag + "' header is cut off");
-    std::uint64_t len = 0;
-    for (unsigned i = 0; i < 8; ++i)
-        len |= static_cast<std::uint64_t>(
-                   static_cast<std::uint8_t>(lenBytes[i]))
-               << (8 * i);
-    payload.resize(len);
-    if (len) {
-        is.read(&payload[0], static_cast<std::streamsize>(len));
-        if (is.gcount() != static_cast<std::streamsize>(len))
+    const std::uint64_t len = loadLe64(lenBytes);
+    // The length is untrusted: read in chunks no larger than what the
+    // stream has already delivered (or readChunk), so a hostile length
+    // allocates at most max(readChunk, twice what the stream holds).
+    payload.clear();
+    while (payload.size() < len) {
+        const std::size_t have = payload.size();
+        const std::size_t step = static_cast<std::size_t>(
+            std::min<std::uint64_t>(len - have,
+                                    std::max(have, readChunk)));
+        payload.resize(have + step);
+        is.read(&payload[have], static_cast<std::streamsize>(step));
+        if (is.gcount() != static_cast<std::streamsize>(step))
             throw SnapshotError(
                 std::string("truncated checkpoint: section '") + tag +
-                "' promises " + std::to_string(len) + " bytes, stream has " +
-                std::to_string(is.gcount()));
+                "' promises " + std::to_string(len) +
+                " bytes, stream has " +
+                std::to_string(have + static_cast<std::size_t>(
+                                          is.gcount())));
     }
     char sumBytes[8];
     is.read(sumBytes, 8);
     if (is.gcount() != 8)
         throw SnapshotError(std::string("truncated checkpoint: section '") +
                             tag + "' checksum is cut off");
-    std::uint64_t sum = 0;
-    for (unsigned i = 0; i < 8; ++i)
-        sum |= static_cast<std::uint64_t>(
-                   static_cast<std::uint8_t>(sumBytes[i]))
-               << (8 * i);
-    if (sum != fnv1a(payload))
+    if (loadLe64(sumBytes) != checksum(payload.data(), payload.size()))
         throw SnapshotError(std::string("corrupted checkpoint: section '") +
                             tag + "' fails its checksum");
     curTag.assign(tag, tagLen);
@@ -296,11 +331,7 @@ std::uint64_t
 Reader::u64()
 {
     need(8);
-    std::uint64_t v = 0;
-    for (unsigned i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(
-                 static_cast<std::uint8_t>(payload[pos + i]))
-             << (8 * i);
+    const std::uint64_t v = loadLe64(payload.data() + pos);
     pos += 8;
     return v;
 }

@@ -6,7 +6,7 @@
  * tagged sections:
  *
  *     "CDPSNAP\n"  u32 version
- *     [ 4-byte tag | u64 payload bytes | payload | u64 FNV-1a ]...
+ *     [ 4-byte tag | u64 payload bytes | payload | u64 checksum ]...
  *     [ "END!" trailer section with empty payload ]
  *
  * All integers are little-endian regardless of host byte order, and
@@ -41,7 +41,7 @@ namespace snap
 {
 
 /** Current checkpoint format version (bump on layout changes). */
-constexpr std::uint32_t formatVersion = 4;
+constexpr std::uint32_t formatVersion = 5;
 
 /**
  * Any failure to serialize or deserialize a checkpoint: truncation,
@@ -56,9 +56,10 @@ class SnapshotError : public std::runtime_error
 
 /**
  * Serializes one checkpoint to an ostream. Values are staged into an
- * in-memory section buffer; endSection() emits the framed, checksummed
- * section. All typed writes must happen between beginSection() and
- * endSection(); finish() writes the trailer and flushes.
+ * in-memory section buffer; endSection() writes the section header,
+ * that buffer and its checksum straight to the stream. All typed
+ * writes must happen between beginSection() and endSection();
+ * finish() writes the trailer and flushes.
  */
 class Writer
 {
@@ -69,7 +70,7 @@ class Writer
     /** Open a section; @p tag must be exactly 4 characters. */
     void beginSection(const char *tag);
 
-    /** Frame, checksum, and emit the open section. */
+    /** Checksum and emit the open section. */
     void endSection();
 
     /** Emit the end-of-checkpoint trailer section. */

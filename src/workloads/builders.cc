@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
-#include <numeric>
+#include <span>
 #include <stdexcept>
 
 namespace cdp
@@ -11,44 +11,104 @@ namespace cdp
 namespace
 {
 
+/** The SmallInts word of raw draw @p x (what rng.below(65536) gives). */
+std::uint32_t
+smallInt(std::uint64_t x)
+{
+    return static_cast<std::uint32_t>(x % 65536);
+}
+
+/** The Floats word of raw draw @p x: a float in [-1000, 1000). */
+std::uint32_t
+floatBits(std::uint64_t x)
+{
+    const float f = static_cast<float>(Rng::unit(x) * 2000.0 - 1000.0);
+    std::uint32_t bits;
+    std::memcpy(&bits, &f, 4);
+    return bits;
+}
+
 /** One plausible non-pointer payload word. */
 std::uint32_t
 payloadWord(DataKind kind, Rng &rng)
 {
     switch (kind) {
       case DataKind::SmallInts:
-        return static_cast<std::uint32_t>(rng.below(65536));
+        return smallInt(rng.next64());
       case DataKind::MediumInts:
         return static_cast<std::uint32_t>(
             (1u << 18) + rng.below((1u << 24) - (1u << 18)));
-      case DataKind::Floats: {
-        const float f =
-            static_cast<float>(rng.uniform() * 2000.0 - 1000.0);
-        std::uint32_t bits;
-        std::memcpy(&bits, &f, 4);
-        return bits;
-      }
+      case DataKind::Floats:
+        return floatBits(rng.next64());
       case DataKind::RandomBits:
         return rng.next32();
     }
     return 0;
 }
 
+/**
+ * A small int or a float, the dominant payload classes, with equal
+ * odds and without a data-dependent branch. The kind draw is rng.chance(0.5), which is true exactly when
+ * the draw's top bit is 0, and either kind then takes one more draw,
+ * so the draws match a chance(0.5)-then-payloadWord sequence.
+ */
+std::uint32_t
+mixedWord(Rng &rng)
+{
+    const bool small = (rng.next64() >> 63) == 0;
+    const std::uint64_t x = rng.next64();
+    // A mask, not ?:, which the compiler turns back into a branch.
+    const std::uint32_t pick_int = 0u - static_cast<std::uint32_t>(small);
+    return (smallInt(x) & pick_int) | (floatBits(x) & ~pick_int);
+}
+
+/**
+ * Store next_word() into every 4-byte word at offsets [0, end) of the
+ * object at @p va except the @p skip offsets, in ascending order,
+ * through one host span per page. A word that straddles a page
+ * boundary goes through write32().
+ */
+template <typename NextWord>
+void
+fillWords(HeapAllocator &heap, Addr va, std::uint32_t end,
+          std::initializer_list<std::uint32_t> skip, NextWord &&next_word)
+{
+    auto skipped = [&skip](std::uint32_t off) {
+        return std::find(skip.begin(), skip.end(), off) != skip.end();
+    };
+    for (std::uint32_t off = 0; off < end;) {
+        const std::span<std::uint8_t> host =
+            heap.hostSpan(va + off, end - off);
+        const std::uint32_t first = off;
+        const auto size = static_cast<std::uint32_t>(host.size());
+        for (; off < first + (size & ~3u); off += 4) {
+            if (!skipped(off)) {
+                const std::uint32_t w = next_word();
+                std::memcpy(host.data() + (off - first), &w, 4);
+            }
+        }
+        if (size % 4 != 0) {
+            // end - off is whole words, so the span was cut at a page
+            // end and the word at off straddles it.
+            if (!skipped(off))
+                heap.write32(va + off, next_word());
+            off += 4;
+        }
+    }
+}
+
 } // namespace
 
 void
 fillPayload(HeapAllocator &heap, Addr node, std::uint32_t bytes,
-            const std::vector<std::uint32_t> &skip_offsets, Rng &rng)
+            std::initializer_list<std::uint32_t> skip_offsets, Rng &rng)
 {
-    for (std::uint32_t off = 0; off + 4 <= bytes; off += 4) {
-        if (std::find(skip_offsets.begin(), skip_offsets.end(), off) !=
-            skip_offsets.end())
-            continue;
-        // Mix small ints and floats, the dominant payload classes.
-        const DataKind kind =
-            rng.chance(0.5) ? DataKind::SmallInts : DataKind::Floats;
-        heap.write32(node + off, payloadWord(kind, rng));
-    }
+    // A local copy of the generator stays in registers; the caller's
+    // could alias the heap's byte stores and round-trip memory.
+    Rng local = rng;
+    fillWords(heap, node, bytes & ~3u, skip_offsets,
+              [&local] { return mixedWord(local); });
+    rng = local;
 }
 
 BuiltList
@@ -67,29 +127,33 @@ buildLinkedList(HeapAllocator &heap, std::uint32_t nodes,
     list.nodeBytes = node_bytes;
     list.nextOffset = next_offset;
 
-    std::vector<Addr> alloc_order(nodes);
-    for (auto &a : alloc_order)
-        a = heap.alloc(node_bytes, 4);
+    {
+        // Scoped so the allocation order and the runs are freed
+        // before the payload fill materializes the heap's frames.
+        std::vector<Addr> alloc_order(nodes);
+        for (auto &a : alloc_order)
+            a = heap.alloc(node_bytes, 4);
 
-    // Split allocation order into runs of geometric length (mean
-    // run_len), then shuffle the runs: consecutive nodes within a run
-    // are adjacent in memory, runs land far apart.
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> runs;
-    for (std::uint32_t i = 0; i < nodes;) {
-        std::uint32_t len = 1;
-        while (i + len < nodes && len < 8 * run_len &&
-               !rng.chance(1.0 / run_len))
-            ++len;
-        runs.emplace_back(i, len);
-        i += len;
-    }
-    for (std::size_t i = runs.size(); i-- > 1;)
-        std::swap(runs[i], runs[rng.below(i + 1)]);
+        // Split allocation order into runs of geometric length (mean
+        // run_len), then shuffle the runs: consecutive nodes within a
+        // run are adjacent in memory, runs land far apart.
+        std::vector<std::pair<std::uint32_t, std::uint32_t>> runs;
+        for (std::uint32_t i = 0; i < nodes;) {
+            std::uint32_t len = 1;
+            while (i + len < nodes && len < 8 * run_len &&
+                   !rng.chance(1.0 / run_len))
+                ++len;
+            runs.emplace_back(i, len);
+            i += len;
+        }
+        for (std::size_t i = runs.size(); i-- > 1;)
+            std::swap(runs[i], runs[rng.below(i + 1)]);
 
-    list.nodes.reserve(nodes);
-    for (const auto &[start, len] : runs) {
-        for (std::uint32_t k = 0; k < len; ++k)
-            list.nodes.push_back(alloc_order[start + k]);
+        list.nodes.reserve(nodes);
+        for (const auto &[start, len] : runs) {
+            for (std::uint32_t k = 0; k < len; ++k)
+                list.nodes.push_back(alloc_order[start + k]);
+        }
     }
 
     for (std::uint32_t i = 0; i < nodes; ++i) {
@@ -246,8 +310,7 @@ buildBTree(HeapAllocator &heap, std::uint32_t leaves,
 
     auto alloc_node = [&]() {
         const Addr n = heap.alloc(t.nodeBytes, 8);
-        for (std::uint32_t off = 0; off < t.nodeBytes; off += 4)
-            heap.write32(n + off, 0);
+        fillWords(heap, n, t.nodeBytes, {}, [] { return 0u; });
         t.nodes.push_back(n);
         return n;
     };
@@ -297,8 +360,10 @@ buildDataRegion(HeapAllocator &heap, std::uint32_t bytes, DataKind kind,
                 Rng &rng)
 {
     const Addr base = heap.alloc(bytes, 64);
-    for (std::uint32_t off = 0; off + 4 <= bytes; off += 4)
-        heap.write32(base + off, payloadWord(kind, rng));
+    Rng local = rng; // register-held, as in fillPayload
+    fillWords(heap, base, bytes & ~3u, {},
+              [&] { return payloadWord(kind, local); });
+    rng = local;
     return base;
 }
 

@@ -18,6 +18,7 @@
 #define CDP_WORKLOADS_BUILDERS_HH
 
 #include <cstdint>
+#include <initializer_list>
 #include <vector>
 
 #include "common/rng.hh"
@@ -161,7 +162,7 @@ Addr buildDataRegion(HeapAllocator &heap, std::uint32_t bytes,
  * slots listed) with plausible non-pointer data.
  */
 void fillPayload(HeapAllocator &heap, Addr node, std::uint32_t bytes,
-                 const std::vector<std::uint32_t> &skip_offsets,
+                 std::initializer_list<std::uint32_t> skip_offsets,
                  Rng &rng);
 
 } // namespace cdp

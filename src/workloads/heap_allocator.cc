@@ -1,5 +1,6 @@
 #include "workloads/heap_allocator.hh"
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 
@@ -90,18 +91,23 @@ HeapAllocator::read32(Addr va) const
     return v;
 }
 
+std::span<std::uint8_t>
+HeapAllocator::hostSpan(Addr va, Addr bytes)
+{
+    if (pageAlign(va) != lastVaPage) {
+        const Addr pa = translateOrThrow(va);
+        lastVaPage = pageAlign(va);
+        lastHost = store.pageData(pa);
+    }
+    return {lastHost + pageOffset(va),
+            std::min(bytes, pageBytes - pageOffset(va))};
+}
+
 void
 HeapAllocator::write32(Addr va, std::uint32_t v)
 {
     if (pageOffset(va) <= pageBytes - 4) {
-        if (pageAlign(va) == lastVaPage) {
-            std::memcpy(lastHost + pageOffset(va), &v, 4);
-            return;
-        }
-        const Addr pa = translateOrThrow(va);
-        lastVaPage = pageAlign(va);
-        lastHost = store.pageData(pa);
-        std::memcpy(lastHost + pageOffset(pa), &v, 4);
+        std::memcpy(hostSpan(va, 4).data(), &v, 4);
         return;
     }
     for (unsigned i = 0; i < 4; ++i) {

@@ -22,6 +22,7 @@
 #define CDP_WORKLOADS_HEAP_ALLOCATOR_HH
 
 #include <cstdint>
+#include <span>
 
 #include "common/rng.hh"
 #include "common/types.hh"
@@ -72,6 +73,14 @@ class HeapAllocator
     /** Write a 32-bit little-endian word at virtual address @p va. */
     void write32(Addr va, std::uint32_t v);
 
+    /**
+     * Host bytes of [va, va + n), n being @p bytes cut at the end of
+     * va's page, with the frame materialized: the builders write whole
+     * nodes and regions through these spans, one translation per page
+     * instead of one per word. Valid until loadState().
+     */
+    std::span<std::uint8_t> hostSpan(Addr va, Addr bytes);
+
     /** Read one byte. */
     std::uint8_t read8(Addr va) const;
 
@@ -96,8 +105,8 @@ class HeapAllocator
     // cdplint: transient(lastVaPage, lastHost) -- one-entry VA-page -> host-frame memo; mappings are never unmapped and frames never move, so only loadState() resets it
     /**
      * Translation memo: the last heap page touched by an in-page
-     * read32/write32, as a direct host pointer into the backing
-     * store's frame. Collapses translate + frame lookup for the
+     * read32 or by a hostSpan, as a direct host pointer into the
+     * backing store's frame. Collapses translate + frame lookup for the
      * pointer-chasing workloads that hammer one page at a time.
      * Valid because the page table has no unmap and frames are
      * stable until loadState(), which resets the memo.

@@ -238,9 +238,12 @@ makeBenchmark(const BenchmarkSpec &spec, HeapAllocator &heap,
         // Two independent walker contexts over the same structure
         // (distinct register windows): real programs overlap several
         // traversals, which is where pointer-chase MLP comes from.
+        // The walkers follow the next pointers in memory, so the
+        // link-order vector (4 bytes a node) is dropped, not copied.
+        const Addr mid = list.nodes[list.nodes.size() / 2];
+        list.nodes = {};
         BuiltList list2 = list;
-        if (list2.nodes.size() > 1)
-            list2.head = list2.nodes[list2.nodes.size() / 2];
+        list2.head = mid;
         mix->add(std::make_unique<ListTraversalGen>(
                      heap, std::move(list), 0x1000, 0, walk, seed + 2),
                  spec.wList / 2);

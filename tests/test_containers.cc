@@ -91,6 +91,24 @@ TEST(LineMap, MatchesUnorderedMapAtTheOwnersBound)
         differentialMapRun(100, 300, seed, 20000);
 }
 
+TEST(LineMap, ReserveGrowsAndKeepsEveryEntry)
+{
+    // The backing store's growth pattern: reserve one more, then
+    // insert, from the 8-slot minimum up through many rehashes.
+    LineMap<unsigned> m(0);
+    std::map<Addr, unsigned> ref;
+    for (unsigned i = 0; i < 5000; ++i) {
+        const Addr key = (i * 7919u % 48'000u) * pageBytes;
+        m.reserve(m.size() + 1);
+        const auto [v, fresh] = m.emplace(key, i);
+        ASSERT_EQ(fresh, ref.emplace(key, i).second) << i;
+        ASSERT_EQ(*v, ref.at(key)) << i;
+    }
+    EXPECT_EQ(contents(m), ref);
+    m.reserve(1); // never shrinks
+    EXPECT_EQ(contents(m), ref);
+}
+
 TEST(LineMap, EmptiedByErasesBehavesLikeFresh)
 {
     LineSet s(16);

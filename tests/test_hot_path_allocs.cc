@@ -8,7 +8,8 @@
  * construction, so the measure window must stay under a few heap
  * allocations per thousand uops. A std::vector or node container
  * creeping back into a per-miss or per-uop path shows up here as
- * hundreds per kuop.
+ * hundreds per kuop. The heap build is held to allocations per
+ * structure, not per node or per frame.
  */
 
 #include <gtest/gtest.h>
@@ -20,6 +21,7 @@
 
 #include "check/check.hh"
 #include "sim/simulator.hh"
+#include "workloads/suite.hh"
 
 namespace
 {
@@ -117,3 +119,23 @@ TEST_P(HotPathAllocs, MeasureWindowStaysUnderFivePerKuop)
 INSTANTIATE_TEST_SUITE_P(Workloads, HotPathAllocs,
                          ::testing::Values("verilog-gate", "b2c",
                                            "tpcc-2"));
+
+TEST(BuildAllocs, VerilogGateBuildIsOStructures)
+{
+    if (CDP_CHECKS_ENABLED)
+        GTEST_SKIP() << "invariant audits allocate by design";
+    // 160 k list nodes over ~2600 frames: the builders must allocate
+    // per structure (node vectors, generators, frame arena chunks),
+    // never per node or per frame.
+    const BenchmarkSpec &spec = findBenchmark("verilog-gate");
+    BackingStore store;
+    FrameAllocator frames{0, 48 * 1024, true, 3};
+    PageTable pt{store, frames};
+    HeapAllocator heap{store, pt, frames};
+    const std::uint64_t before = allocations.load();
+    auto src = makeBenchmark(spec, heap, 1);
+    const std::uint64_t n = allocations.load() - before;
+    RecordProperty("build_allocs", std::to_string(n));
+    EXPECT_LT(n, 1000u);
+    EXPECT_GT(store.framesTouched(), 2500u);
+}

@@ -322,17 +322,53 @@ TEST_F(SnapshotCorruption, VersionSkewIsRejectedWithBothVersions)
         << err;
 }
 
-TEST_F(SnapshotCorruption, FormatThreeFileIsRejected)
+TEST_F(SnapshotCorruption, FormatFourFileIsRejected)
 {
-    // Format 3 predates the fetch buffer in the CORE section; its
-    // files fail the version check instead of misreading CORE.
-    ASSERT_EQ(snap::formatVersion, 4u);
+    // Format 4 sums sections with byte-serial FNV-1a; its files fail
+    // the version check instead of every section's checksum.
+    ASSERT_EQ(snap::formatVersion, 5u);
     std::string old = bytes;
-    old[8] = 3; // little-endian u32 right after the magic
+    old[8] = 4; // little-endian u32 right after the magic
     const std::string err = restoreError(old);
     EXPECT_NE(err.find("version skew"), std::string::npos) << err;
-    EXPECT_NE(err.find("file has version 3"), std::string::npos) << err;
-    EXPECT_NE(err.find("reads version 4"), std::string::npos) << err;
+    EXPECT_NE(err.find("file has version 4"), std::string::npos) << err;
+    EXPECT_NE(err.find("reads version 5"), std::string::npos) << err;
+}
+
+namespace
+{
+
+/** @p ckpt with the first section's (CFG!) length set to @p len. */
+std::string
+withFirstSectionLength(std::string ckpt, std::uint64_t len)
+{
+    for (unsigned i = 0; i < 8; ++i)
+        ckpt[16 + i] = static_cast<char>((len >> (8 * i)) & 0xff);
+    return ckpt;
+}
+
+} // namespace
+
+TEST_F(SnapshotCorruption, HugeSectionLengthIsTruncationNotBadAlloc)
+{
+    const std::string err =
+        restoreError(withFirstSectionLength(bytes, std::uint64_t{1} << 62));
+    EXPECT_NE(err.find("truncated checkpoint"), std::string::npos) << err;
+    EXPECT_NE(err.find("'CFG!' promises 4611686018427387904 bytes"),
+              std::string::npos)
+        << err;
+}
+
+TEST_F(SnapshotCorruption, SectionLengthBeyondTheStreamIsTruncation)
+{
+    // 3 GB: read in bounded chunks, so this fails after reading what
+    // the stream holds instead of allocating the promised length.
+    const std::string err =
+        restoreError(withFirstSectionLength(bytes, 3ull << 30));
+    EXPECT_NE(err.find("'CFG!' promises 3221225472 bytes, stream has " +
+                       std::to_string(bytes.size() - 24)),
+              std::string::npos)
+        << err;
 }
 
 TEST_F(SnapshotCorruption, WrongSectionTagIsRejected)
@@ -374,6 +410,75 @@ TEST_F(SnapshotCorruption, WrongWorkloadNamesBothWorkloads)
         EXPECT_NE(err.find("specjbb-vsnet"), std::string::npos) << err;
         EXPECT_NE(err.find("tpcc-2"), std::string::npos) << err;
     }
+}
+
+TEST(SnapshotChecksum, EveryBitFlipFailsTheChecksum)
+{
+    // Payloads of 0..100 bytes cover the 8-byte word path and every
+    // tail length; a flipped bit in the payload or in the stored sum
+    // must always be caught.
+    for (std::size_t n = 0; n <= 100; ++n) {
+        std::string payload(n, '\0');
+        for (std::size_t i = 0; i < n; ++i)
+            payload[i] = static_cast<char>(i * 37 + n);
+        std::ostringstream os;
+        snap::Writer w(os);
+        w.beginSection("TEST");
+        w.bytes(reinterpret_cast<const std::uint8_t *>(payload.data()), n);
+        w.endSection();
+        const std::string clean = os.str();
+        const std::size_t first = 12 + 4 + 8; // header, tag, length
+        ASSERT_EQ(clean.size(), first + n + 8);
+        for (std::size_t bit = first * 8; bit < clean.size() * 8; ++bit) {
+            std::string damaged = clean;
+            damaged[bit / 8] = static_cast<char>(damaged[bit / 8] ^
+                                                 (1 << (bit % 8)));
+            std::istringstream is(damaged);
+            snap::Reader r(is);
+            try {
+                r.enterSection("TEST");
+                ADD_FAILURE() << "flip of bit " << bit << " with a "
+                              << n << "-byte payload went unnoticed";
+            } catch (const snap::SnapshotError &e) {
+                ASSERT_NE(std::string(e.what()).find("fails its checksum"),
+                          std::string::npos)
+                    << e.what();
+            }
+        }
+    }
+}
+
+TEST(SnapshotRoundTrip, RestoreReusesAndDropsFrames)
+{
+    SimConfig c;
+    c.workload = "speech";
+    Simulator saver(c);
+    const std::string ckpt = checkpointAfterWarmup(saver, 20'000);
+    const std::size_t saved_frames =
+        saver.heap().backingStore().framesTouched();
+
+    // A page beyond the frame allocator's range: the saver never has
+    // it, so the restore must drop it.
+    Simulator fork(c);
+    BackingStore &store = fork.heap().backingStore();
+    const Addr extra = c.physFrames * pageBytes + 0x40;
+    store.write32(extra, 0xdeadbeef);
+    std::istringstream first(ckpt);
+    fork.restoreCheckpoint(first);
+    EXPECT_EQ(store.framesTouched(), saved_frames);
+    EXPECT_EQ(store.read32(extra), 0u);
+    const std::string dump = dumpStats(fork);
+    EXPECT_EQ(dump, dumpStats(saver));
+
+    // Restoring again over the restored machine, every frame now
+    // reused in place, gives the same machine.
+    std::istringstream second(ckpt);
+    fork.restoreCheckpoint(second);
+    EXPECT_EQ(store.framesTouched(), saved_frames);
+    EXPECT_EQ(dumpStats(fork), dump);
+    saver.measure(20'000);
+    fork.measure(20'000);
+    EXPECT_EQ(dumpStats(fork), dumpStats(saver));
 }
 
 TEST(SnapshotWriter, CheckpointBytesAreDeterministic)

@@ -12,6 +12,7 @@
 #ifndef CDP_COMMON_RNG_HH
 #define CDP_COMMON_RNG_HH
 
+#include <cmath>
 #include <cstdint>
 
 namespace cdp
@@ -62,6 +63,69 @@ class Rng
     {
         return next64() % bound;
     }
+
+    /**
+     * A bound fixed at construction, with its reciprocal
+     * M = floor((2^64 - 1) / d). For any x, q = mulhi(x, M) is
+     * floor(x / d) or one less: writing 2^64 - 1 = M d + rho with
+     * rho < d, x M / 2^64 = x / d - x (1 + rho) / (d 2^64), and the
+     * subtracted term is below 1 because x < 2^64 and 1 + rho <= d.
+     * So x - q d lies in [0, 2d) and never exceeds x, and one
+     * conditional subtract gives x % d exactly.
+     */
+    class Divisor
+    {
+      public:
+        /** @p d must be non-zero. */
+        explicit Divisor(std::uint64_t d) : d(d), m(~std::uint64_t{0} / d)
+        {
+        }
+
+        /** x % d without a divide. */
+        std::uint64_t
+        mod(std::uint64_t x) const
+        {
+            const auto q = static_cast<std::uint64_t>(
+                (static_cast<unsigned __int128>(x) * m) >> 64);
+            const std::uint64_t r = x - q * d;
+            return r - (r >= d ? d : 0);
+        }
+
+      private:
+        std::uint64_t d;
+        std::uint64_t m;
+    };
+
+    /** below(d) for a precomputed bound: the same value, no divide. */
+    std::uint64_t below(const Divisor &d) { return d.mod(next64()); }
+
+    /**
+     * A Bernoulli probability as an integer threshold on the draw's
+     * top 53 bits. unit(x) = k 2^-53 with k = x >> 11 exact, and
+     * p 2^53 is exact for p in [0, 1], so unit(x) < p iff
+     * k < p 2^53 iff k < ceil(p 2^53). p <= 0 and NaN never hit;
+     * p >= 1 always does.
+     */
+    class Threshold
+    {
+      public:
+        explicit Threshold(double p)
+            : t(!(p > 0.0) ? 0
+                : p >= 1.0 ? std::uint64_t{1} << 53
+                           : static_cast<std::uint64_t>(
+                                 std::ceil(p * 0x1.0p53)))
+        {
+        }
+
+        /** unit(x) < p, branch-free. */
+        bool hit(std::uint64_t x) const { return (x >> 11) < t; }
+
+      private:
+        std::uint64_t t;
+    };
+
+    /** chance(p) for a precomputed p: the same outcome, no FP. */
+    bool chance(const Threshold &p) { return p.hit(next64()); }
 
     /** Uniform double in [0, 1). */
     double uniform() { return unit(next64()); }

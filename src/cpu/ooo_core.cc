@@ -1,6 +1,7 @@
 #include "cpu/ooo_core.hh"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <string>
 
@@ -76,8 +77,8 @@ UopSource::loadState(snap::Reader &)
 }
 
 OooCore::OooCore(const CoreConfig &cfg, UopSource &source, CoreMemIf &mem,
-                 StatGroup *stats, const std::string &name)
-    : cfg(cfg), source(source), mem(mem),
+                 StatGroup *stats, const std::string &name, CoreLoop loop)
+    : cfg(cfg), loop(loop), source(source), mem(mem),
       bp(cfg.bpEntries, stats, name + ".bp"),
       uopsRetired(stats ? *stats : dummyGroup, name + ".retired_uops",
                   "uops retired"),
@@ -93,7 +94,45 @@ OooCore::OooCore(const CoreConfig &cfg, UopSource &source, CoreMemIf &mem,
                        name + ".fetch_stall_cycles",
                        "cycles fetch was squashed by a mispredict")
 {
-    robBuf.resize(cfg.robEntries);
+    robBuf.resize(std::bit_ceil(std::max(cfg.robEntries, 1u)));
+    robMask = robBuf.size() - 1;
+    typeLatency[static_cast<std::size_t>(UopType::Alu)] = cfg.aluLatency;
+    typeLatency[static_cast<std::size_t>(UopType::Fp)] = cfg.fpLatency;
+    typeLatency[static_cast<std::size_t>(UopType::Branch)] = cfg.aluLatency;
+    typeLatency[static_cast<std::size_t>(UopType::Nop)] = cfg.aluLatency;
+    if (cfg.issueWidth == 0 || cfg.retireWidth == 0 ||
+        cfg.robEntries == 0 || cfg.loadBuffer == 0 ||
+        cfg.storeBuffer == 0)
+        this->loop = CoreLoop::Cycle;
+    if (this->loop == CoreLoop::Event) {
+        lbRetire.resize(cfg.loadBuffer);
+        sbRetire.resize(cfg.storeBuffer);
+        resyncEvents();
+    }
+}
+
+inline Cycle
+OooCore::execute(const Uop &u, Cycle now, bool &mispredicted)
+{
+    const Cycle ready =
+        std::max(std::max(now, regReady[readSlot(u.src0)]),
+                 regReady[readSlot(u.src1)]);
+    Cycle complete = ready + typeLatency[static_cast<std::size_t>(u.type)];
+    mispredicted = false;
+    if (u.type == UopType::Load) {
+        complete = mem.load(u.pc, u.vaddr, ready, u.pointerLoad);
+        ++issuedLoads;
+        memWake = mem.nextEventCycle(); // load may have (re)scheduled fills
+    } else if (u.type == UopType::Store) {
+        complete = mem.store(u.pc, u.vaddr, ready);
+        ++issuedStores;
+        memWake = mem.nextEventCycle(); // store may have (re)scheduled fills
+    } else if (u.type == UopType::Branch) {
+        ++issuedBranches;
+        mispredicted = !bp.update(u.pc, u.taken);
+    }
+    regReady[writeSlot(u.dst)] = complete;
+    return complete;
 }
 
 void
@@ -107,9 +146,7 @@ OooCore::retireStage()
             --loadsInRob;
         if (head.isStore)
             --storesInRob;
-        robHead = robHead + 1 == robBuf.size() ? 0 : robHead + 1;
-        --robCount;
-        ++uopsRetired;
+        popRob();
     }
 }
 
@@ -139,48 +176,10 @@ OooCore::issueStage()
             break;
         ++fetchHead;
 
-        Cycle ready = cycle;
-        if (u.src0 != noReg)
-            ready = std::max(ready, regReady[u.src0]);
-        if (u.src1 != noReg)
-            ready = std::max(ready, regReady[u.src1]);
-
-        Cycle complete = ready;
-        bool mispredicted = false;
-        switch (u.type) {
-          case UopType::Alu:
-          case UopType::Nop:
-            complete = ready + cfg.aluLatency;
-            break;
-          case UopType::Fp:
-            complete = ready + cfg.fpLatency;
-            break;
-          case UopType::Load:
-            complete = mem.load(u.pc, u.vaddr, ready, u.pointerLoad);
-            ++issuedLoads;
-            memWake = mem.nextEventCycle(); // load may have (re)scheduled fills
-            break;
-          case UopType::Store:
-            complete = mem.store(u.pc, u.vaddr, ready);
-            ++issuedStores;
-            memWake = mem.nextEventCycle(); // store may have (re)scheduled fills
-            break;
-          case UopType::Branch:
-            complete = ready + cfg.aluLatency;
-            ++issuedBranches;
-            mispredicted = !bp.update(u.pc, u.taken);
-            break;
-        }
-
-        if (u.dst != noReg)
-            regReady[u.dst] = complete;
-
-        std::size_t tail = robHead + robCount;
-        if (tail >= robBuf.size())
-            tail -= robBuf.size();
-        robBuf[tail] = {complete, u.type == UopType::Load,
-                        u.type == UopType::Store};
-        ++robCount;
+        bool mispredicted;
+        const Cycle complete = execute(u, cycle, mispredicted);
+        robAt(robCount++) = {complete, 0, u.type == UopType::Load,
+                             u.type == UopType::Store};
         if (u.type == UopType::Load)
             ++loadsInRob;
         if (u.type == UopType::Store)
@@ -248,13 +247,237 @@ OooCore::stuck(const char *why) const
         ", retireWidth " + n(cfg.retireWidth) + ")");
 }
 
+void
+OooCore::runCycles(std::uint64_t n)
+{
+    const std::uint64_t target = uopsRetired.value() + n;
+    while (uopsRetired.value() < target)
+        step();
+}
+
+/*
+ * The event loop. The cycle loop visits a cycle when something issues
+ * or retires there, on the cycle after each such cycle, and on the
+ * fetch-resume cycle it jumps to when stalled; every other cycle it
+ * skips. Each uop's issue and retire cycle follow from recurrences
+ * over earlier uops (DESIGN.md §12), and every term of those
+ * recurrences is itself a visited cycle, so the loop below issues
+ * each uop at exactly the cycle the cycle loop would. Between two
+ * issue cycles it replays only the visited cycles the cycle loop
+ * makes observable.
+ *
+ * The ROB ring is indexed by uop sequence number. Retirement is lazy:
+ * the entry robEntries behind the next uop is read in place (it has
+ * retired once that uop may issue), and entries are counted off only
+ * where a walk needs their retire cycles or a run stops.
+ */
+void
+OooCore::runEvents(std::uint64_t n)
+{
+    if (n == 0)
+        return;
+    // The run stops at the cycle the n-th uop from now retires: known
+    // once that uop has issued. `toIssue` counts down to it.
+    Cycle stop = std::numeric_limits<Cycle>::max();
+    std::uint64_t toIssue = 0;
+    if (n <= robCount)
+        stop = robAt(static_cast<std::size_t>(n - 1)).retire;
+    else
+        toIssue = n - robCount;
+
+    CoreEvents e = ev;
+    std::size_t head = fetchHead;
+    for (;;) {
+        // Earliest cycle the next uop can be fetched: in order after
+        // the previous one, fetch resumed, a ROB slot freed.
+        const Cycle rob_back = robBackRetire(e.issuedSeq);
+        Cycle at = std::max(
+            e.issueAt + (e.issueUsed == cfg.issueWidth ? 1 : 0),
+            std::max(fetchStalledUntil, rob_back));
+        if (at > stop)
+            break;
+        if (head == fetchCount) {
+            source.fill(fetchBuf);
+            head = 0;
+            fetchCount = fetchBuf.size();
+        }
+        const Uop &u = fetchBuf[head];
+        const bool is_load = u.type == UopType::Load;
+        const bool is_store = u.type == UopType::Store;
+        const Cycle lb_back = lbRetire[e.lbNext];
+        const Cycle sb_back = sbRetire[e.sbNext];
+        // Masks, not ?:, so a random uop type costs no host mispredict.
+        at = std::max(at, std::max(lb_back & -Cycle{is_load},
+                                   sb_back & -Cycle{is_store}));
+        if (at > stop)
+            break;
+        if (memWake > at && fetchStalledUntil <= e.walkFrom) {
+            // No advance() is due and fetch is live, so only a full ROB
+            // is observable before `at`. While it is full nothing
+            // retires (its head is the uop robEntries back, retiring
+            // at rob_back <= at), so its one visited cycle is walkFrom,
+            // the cycle after the last issue.
+            robFullCycles += e.walkFrom < rob_back;
+            e.walkFrom = at + 1;
+        } else {
+            e = walkTo(e, at, true);
+        }
+        ++head;
+
+        bool mispredicted;
+        const Cycle complete = execute(u, at, mispredicted);
+        // In order, after its issue cycle, within retireWidth a cycle.
+        Cycle retire = std::max(std::max(complete, at + 1), e.retireAt);
+        retire += retire == e.retireAt && e.retireUsed == cfg.retireWidth;
+        e.retireUsed = retire == e.retireAt ? e.retireUsed + 1 : 1;
+        e.retireAt = retire;
+        robBuf[e.issuedSeq++ & robMask] = {complete, retire, is_load,
+                                           is_store};
+        lbRetire[e.lbNext] = is_load ? retire : lb_back;
+        e.lbNext += is_load ? 1 : 0;
+        e.lbNext = e.lbNext == lbRetire.size() ? 0 : e.lbNext;
+        sbRetire[e.sbNext] = is_store ? retire : sb_back;
+        e.sbNext += is_store ? 1 : 0;
+        e.sbNext = e.sbNext == sbRetire.size() ? 0 : e.sbNext;
+
+        e.issueUsed = at == e.issueAt ? e.issueUsed + 1 : 1;
+        e.issueAt = at;
+        if (mispredicted) {
+            // The cycle loop stops issuing for this cycle; the resume
+            // cycle is later anyway unless latency and penalty are 0.
+            fetchStalledUntil = complete + cfg.mispredictPenalty;
+            e.issueUsed = cfg.issueWidth;
+        }
+        if (toIssue != 0 && --toIssue == 0)
+            stop = retire;
+    }
+    ev = walkTo(e, stop, false);
+    fetchHead = head;
+    retireThrough(stop);
+    cycle = stop + 1;
+}
+
+std::uint64_t
+OooCore::firstLive(const CoreEvents &e) const
+{
+    // Uops more than robEntries back retired before the last issue.
+    const std::uint64_t window =
+        std::min<std::uint64_t>(e.issuedSeq, cfg.robEntries);
+    return std::max(e.retiredSeq, e.issuedSeq - window);
+}
+
+void
+OooCore::retireThrough(Cycle c)
+{
+    std::uint64_t seq = firstLive(ev);
+    while (seq != ev.issuedSeq && robBuf[seq & robMask].retire <= c)
+        ++seq;
+    uopsRetired += seq - ev.retiredSeq;
+    ev.retiredSeq = seq;
+    robHead = static_cast<std::size_t>(seq & robMask);
+    robCount = static_cast<std::size_t>(ev.issuedSeq - seq);
+}
+
+CoreEvents
+OooCore::walkTo(CoreEvents e, Cycle limit, bool issuing)
+{
+    if (limit < e.walkFrom)
+        return e;
+    // walkFrom is visited: the cycle before it issued or retired (or
+    // began the run). The ROB is full until rob_free, when the uop
+    // robEntries places back retires.
+    const Cycle rob_free = robBackRetire(e.issuedSeq);
+    const Cycle resume = fetchStalledUntil;
+    std::uint64_t seq = firstLive(e);
+    const auto retire_at = [this](std::uint64_t k) {
+        return robBuf[k & robMask].retire;
+    };
+    while (seq != e.issuedSeq && retire_at(seq) < e.walkFrom)
+        ++seq;
+
+    // The cycle after a visited cycle is visited when that cycle made
+    // progress.
+    bool forced = true;
+    for (;;) {
+        // The next visited cycle: the forced one, else the earliest of
+        // fetch resuming, the oldest live uop retiring, and the limit.
+        Cycle c = limit;
+        if (forced) {
+            c = e.walkFrom;
+        } else {
+            if (resume >= e.walkFrom)
+                c = std::min(c, resume);
+            if (seq != e.issuedSeq)
+                c = std::min(c, retire_at(seq));
+        }
+        if (memWake <= c) {
+            mem.advance(c);
+            memWake = mem.nextEventCycle();
+        }
+        bool progressed = false;
+        for (; seq != e.issuedSeq && retire_at(seq) <= c; ++seq)
+            progressed = true;
+        if (issuing && c == limit)
+            progressed = true;
+        else if (c < resume)
+            ++fetchStallCycles;
+        else if (c < rob_free)
+            ++robFullCycles;
+        e.walkFrom = c + 1;
+        forced = progressed;
+        if (c == limit)
+            break;
+    }
+    uopsRetired += seq - e.retiredSeq;
+    e.retiredSeq = seq;
+    e.walkFrom = limit + 1;
+    return e;
+}
+
+void
+OooCore::resyncEvents()
+{
+    // The cycle loop resumes at `cycle` with fresh issue and retire
+    // slots; each ROB entry retires at the first cycle from there that
+    // is at or after its completion and has a retire slot left. Slots
+    // outside the ROB read as retired at cycle 0.
+    ev = CoreEvents{};
+    ev.issueAt = cycle;
+    ev.retireAt = cycle;
+    ev.walkFrom = cycle;
+    ev.retiredSeq = robHead;
+    ev.issuedSeq = robHead + robCount;
+    for (std::size_t i = robCount; i < robBuf.size(); ++i)
+        robAt(i).retire = 0;
+    std::fill(lbRetire.begin(), lbRetire.end(), 0);
+    std::fill(sbRetire.begin(), sbRetire.end(), 0);
+    for (std::size_t i = 0; i < robCount; ++i) {
+        RobEntry &e = robAt(i);
+        Cycle retire = std::max(e.complete, ev.retireAt);
+        if (retire == ev.retireAt && ev.retireUsed == cfg.retireWidth)
+            ++retire;
+        ev.retireUsed = retire == ev.retireAt ? ev.retireUsed + 1 : 1;
+        ev.retireAt = retire;
+        e.retire = retire;
+        if (e.isLoad) {
+            lbRetire[ev.lbNext] = retire;
+            ev.lbNext = ev.lbNext + 1 == lbRetire.size() ? 0 : ev.lbNext + 1;
+        }
+        if (e.isStore) {
+            sbRetire[ev.sbNext] = retire;
+            ev.sbNext = ev.sbNext + 1 == sbRetire.size() ? 0 : ev.sbNext + 1;
+        }
+    }
+}
+
 Cycle
 OooCore::run(std::uint64_t n)
 {
     const Cycle start = cycle;
-    const std::uint64_t target = uopsRetired.value() + n;
-    while (uopsRetired.value() < target)
-        step();
+    if (loop == CoreLoop::Event)
+        runEvents(n);
+    else
+        runCycles(n);
     return cyclesSince(cycle, start);
 }
 
@@ -268,17 +491,15 @@ OooCore::saveState(snap::Writer &w) const
     for (std::size_t i = fetchHead; i < fetchCount; ++i)
         snap::saveUop(w, fetchBuf[i]);
     w.u64(robCount);
+    const std::size_t head = robHead;
     for (std::size_t i = 0; i < robCount; ++i) {
-        std::size_t idx = robHead + i;
-        if (idx >= robBuf.size())
-            idx -= robBuf.size();
-        const RobEntry &e = robBuf[idx];
+        const RobEntry &e = robBuf[(head + i) & robMask];
         w.u64(e.complete);
         w.boolean(e.isLoad);
         w.boolean(e.isStore);
     }
-    for (const Cycle ready : regReady)
-        w.u64(ready);
+    for (std::size_t i = 0; i < numRegs; ++i)
+        w.u64(regReady[i]);
     bp.saveState(w);
 }
 
@@ -315,9 +536,11 @@ OooCore::loadState(snap::Reader &r)
         storesInRob += e.isStore ? 1 : 0;
         robBuf[i] = e;
     }
-    for (Cycle &ready : regReady)
-        ready = r.u64();
+    for (std::size_t i = 0; i < numRegs; ++i)
+        regReady[i] = r.u64();
     bp.loadState(r);
+    if (loop == CoreLoop::Event)
+        resyncEvents();
 }
 
 } // namespace cdp

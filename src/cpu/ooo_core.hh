@@ -14,11 +14,19 @@
  * parallelism behaviour the content prefetcher targets. Retirement
  * is in order and bounded by the ROB, which is what ultimately
  * converts load miss latency into lost cycles.
+ *
+ * Two loops implement these rules. The cycle loop steps the clock
+ * through every cycle where something can happen; the event loop
+ * times each uop once, from recurrences over the issue and retire
+ * cycles of the uops before it, and replays only what the cycle loop
+ * makes observable (DESIGN.md §12). They agree call for call and
+ * byte for byte.
  */
 
 #ifndef CDP_CPU_OOO_CORE_HH
 #define CDP_CPU_OOO_CORE_HH
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <stdexcept>
@@ -99,6 +107,16 @@ struct CoreConfig
     bool operator==(const CoreConfig &) const = default;
 };
 
+/**
+ * Which loop times the uops. Event is the default; Cycle is the
+ * reference path that sched.mode = "legacy" selects.
+ */
+enum class CoreLoop
+{
+    Event, //!< each uop timed once; visited cycles replayed sparsely
+    Cycle, //!< the clock stepped through every visited cycle
+};
+
 /** No future event can ever unblock the core; what() names the ROB,
  *  LB and SB occupancy and the CoreConfig limits. */
 class CoreStallError : public std::runtime_error
@@ -108,14 +126,49 @@ class CoreStallError : public std::runtime_error
 };
 
 /**
+ * OooCore's event-loop bookkeeping, derived from the cycle-loop state
+ * by OooCore::resyncEvents. runEvents keeps it in a local copy, so
+ * the per-uop recurrences stay in registers.
+ */
+struct CoreEvents
+{
+    /** Cycle of the last issue and the slots it used. */
+    Cycle issueAt = 0;
+    unsigned issueUsed = 0;
+    /** Cycle of the last retirement and the slots it used. */
+    Cycle retireAt = 0;
+    unsigned retireUsed = 0;
+    /**
+     * Visited cycles before walkFrom have been replayed. walkFrom is
+     * itself visited: the cycle before it issued or retired a uop (or
+     * it starts the run).
+     */
+    Cycle walkFrom = 0;
+    /**
+     * Uops issued and retired so far; ROB slot of uop k is
+     * k & robMask. Between runs robHead and robCount mirror them.
+     */
+    std::uint64_t issuedSeq = 0;
+    std::uint64_t retiredSeq = 0;
+    /** Next slots of lbRetire and sbRetire. */
+    std::size_t lbNext = 0;
+    std::size_t sbNext = 0;
+};
+
+/**
  * The timing core. Pulls uops from a UopSource, times them against a
  * CoreMemIf, and accumulates cycles/uops.
  */
 class OooCore
 {
   public:
+    /**
+     * A geometry with a zero width or a zero-sized ROB, LB or SB always
+     * runs the cycle loop, which diagnoses the stall it must end in.
+     */
     OooCore(const CoreConfig &cfg, UopSource &source, CoreMemIf &mem,
-            StatGroup *stats = nullptr, const std::string &name = "core");
+            StatGroup *stats = nullptr, const std::string &name = "core",
+            CoreLoop loop = CoreLoop::Event);
 
     /**
      * Run until @p n more uops have retired.
@@ -162,9 +215,77 @@ class OooCore
     struct RobEntry
     {
         Cycle complete = 0;
+        /** Event loop only: the cycle this uop retires at. */
+        Cycle retire = 0;
         bool isLoad = false;
         bool isStore = false;
     };
+
+    /** run() on the cycle loop. */
+    void runCycles(std::uint64_t n);
+
+    /** run() on the event loop. */
+    void runEvents(std::uint64_t n);
+
+    /**
+     * Event loop: replay the visited cycles in [e.walkFrom, limit] —
+     * mem.advance() at and after the wake hint, retirement, and the
+     * stall counters. @p limit is itself a visited cycle: the issue
+     * cycle of the next uop (@p issuing) or the stop cycle.
+     */
+    CoreEvents walkTo(CoreEvents e, Cycle limit, bool issuing);
+
+    /** Event loop: derive its bookkeeping from the cycle-loop state. */
+    void resyncEvents();
+
+    /** Event loop: the oldest uop that may not have retired yet. */
+    std::uint64_t firstLive(const CoreEvents &e) const;
+
+    /** Event loop: retire every uop retiring at or before @p c and
+     *  bring robHead/robCount up to date. */
+    void retireThrough(Cycle c);
+
+    /**
+     * Event loop: retire cycle of the uop robEntries before uop
+     * @p seq; 0 until that many have issued.
+     */
+    Cycle robBackRetire(std::uint64_t seq) const
+    {
+        return robBuf[(seq - cfg.robEntries) & robMask].retire;
+    }
+
+    /**
+     * Execute @p u issued at cycle @p now: read its sources, time it
+     * (calling the memory for loads and stores), write its
+     * destination, and return its completion cycle. Sets
+     * @p mispredicted for a branch the predictor got wrong.
+     */
+    [[gnu::always_inline]] inline Cycle execute(const Uop &u, Cycle now,
+                                                bool &mispredicted);
+
+    /** The ROB entry @p i places behind the head. */
+    RobEntry &robAt(std::size_t i) { return robBuf[(robHead + i) & robMask]; }
+
+    /** Retire the ROB head. */
+    void popRob()
+    {
+        robHead = (robHead + 1) & robMask;
+        --robCount;
+        ++uopsRetired;
+    }
+
+    /** regReady slot a source @p r reads; noReg reads the zero slot. */
+    static std::size_t readSlot(std::int8_t r)
+    {
+        return std::min<std::size_t>(static_cast<std::uint8_t>(r), numRegs);
+    }
+
+    /** regReady slot a destination @p r writes; noReg writes the sink. */
+    static std::size_t writeSlot(std::int8_t r)
+    {
+        return std::min<std::size_t>(static_cast<std::uint8_t>(r),
+                                     numRegs + 1);
+    }
 
     /** Advance one cycle; may skip ahead when fully stalled. */
     void step();
@@ -178,8 +299,9 @@ class OooCore
     /** Throw the CoreStallError diagnostic for the current state. */
     [[noreturn]] void stuck(const char *why) const;
 
-    // cdplint: transient(cfg) -- construction-time geometry; loadState cross-checks compatibility, it never overwrites
+    // cdplint: transient(cfg, loop) -- construction-time geometry and loop choice; loadState cross-checks compatibility, it never overwrites
     CoreConfig cfg;
+    CoreLoop loop;
     // cdplint: transient(source, mem) -- wiring references rebuilt by the restoring harness, not state
     UopSource &source;
     CoreMemIf &mem;
@@ -200,20 +322,41 @@ class OooCore
     std::size_t fetchHead = 0;
     std::size_t fetchCount = 0;
     /**
-     * The ROB as a fixed-capacity ring (capacity = cfg.robEntries,
-     * sized at construction): one push and one pop per retired uop
-     * made deque segment management a measurable cost. robHead is
-     * the oldest entry; robCount the occupancy. saveState writes the
-     * logical FIFO (robCount entries in age order); loadState
-     * rebuilds it compacted from slot zero.
+     * The ROB as a fixed-capacity ring (cfg.robEntries rounded up to
+     * a power of two, sized at construction, indexed under robMask):
+     * one push and one pop per retired uop made deque segment
+     * management a measurable cost. robHead is the oldest entry;
+     * robCount the occupancy, at most cfg.robEntries. saveState
+     * writes the logical FIFO (robCount entries in age order);
+     * loadState rebuilds it compacted from slot zero.
      */
     std::vector<RobEntry> robBuf;
+    // cdplint: transient(robMask, typeLatency) -- derived from the construction-time geometry
+    std::size_t robMask = 0;
+    /** Latency of each UopType that does not go to memory. */
+    Cycle typeLatency[static_cast<std::size_t>(UopType::Nop) + 1] = {};
     std::size_t robHead = 0;
     std::size_t robCount = 0;
     // cdplint: transient(loadsInRob, storesInRob) -- recomputed from the restored ROB contents in loadState
     unsigned loadsInRob = 0;
     unsigned storesInRob = 0;
-    Cycle regReady[numRegs] = {};
+    /**
+     * Per-register ready cycles, plus two slots that spare a branch
+     * per operand: a noReg source reads slot numRegs, which stays 0,
+     * and a noReg destination writes slot numRegs + 1, which nothing
+     * reads. Only the first numRegs travel in a checkpoint.
+     */
+    Cycle regReady[numRegs + 2] = {};
+
+    // cdplint: transient(ev, lbRetire, sbRetire) -- event-loop bookkeeping, rebuilt from the restored clock and ROB by resyncEvents
+    CoreEvents ev;
+    /**
+     * Retire cycles of the last loadBuffer loads and storeBuffer
+     * stores, oldest at ev.lbNext/sbNext: a load may not issue before the
+     * load loadBuffer places back retires (likewise stores).
+     */
+    std::vector<Cycle> lbRetire;
+    std::vector<Cycle> sbRetire;
 
     // cdplint: transient(dummyGroup, uopsRetired, issuedLoads, issuedStores, issuedBranches, robFullCycles, fetchStallCycles) -- Stats are observational, reset at warm-up end, and travel via the stats dump, not the checkpoint
     StatGroup dummyGroup;

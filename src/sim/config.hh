@@ -110,15 +110,24 @@ struct SchedConfig
 {
     /**
      * "wheel"  — event-wheel mode: MemorySystem::advance() returns
-     *            through a fast path on provably idle calls and the
-     *            core skips calls the wheel proves idle entirely.
-     *            Stats stay byte-identical to legacy mode; the
-     *            differential test net in tests/test_event_wheel.cc
-     *            pins this (DESIGN.md §12).
+     *            through a fast path on provably idle calls, the
+     *            core skips calls the wheel proves idle entirely, and
+     *            the core runs its event loop (CoreLoop::Event),
+     *            timing each uop once. Stats stay byte-identical to
+     *            legacy mode; the differential nets in
+     *            tests/test_event_wheel.cc and tests/test_ooo_core.cc
+     *            pin this (DESIGN.md §12).
      * "legacy" — the original tick-every-cycle contract: advance()
-     *            runs its full body on every call.
+     *            runs its full body on every call, and the core steps
+     *            through every visited cycle (CoreLoop::Cycle).
      */
     std::string mode = "wheel";
+
+    /** The core loop this mode runs. */
+    CoreLoop coreLoop() const
+    {
+        return mode == "legacy" ? CoreLoop::Cycle : CoreLoop::Event;
+    }
 
     bool operator==(const SchedConfig &) const = default;
 };

@@ -73,7 +73,8 @@ Simulator::Simulator(const SimConfig &cfg)
     memsys = std::make_unique<MemorySystem>(cfg, store, pageTable,
                                             &statGroup);
     cpu = std::make_unique<OooCore>(cfg.core, *source, *memsys,
-                                    &statGroup);
+                                    &statGroup, "core",
+                                    cfg.sched.coreLoop());
 }
 
 void

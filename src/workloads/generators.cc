@@ -9,6 +9,17 @@
 namespace cdp
 {
 
+namespace
+{
+
+/** A fair coin: chance(0.5). */
+const Rng::Threshold coinFlip(0.5);
+
+/** HashLookupGen: the looked-up key is in the table. */
+const Rng::Threshold keyPresent(0.8);
+
+} // namespace
+
 // --------------------------------------------------------- block base
 
 void
@@ -37,7 +48,8 @@ ListTraversalGen::ListTraversalGen(HeapAllocator &heap, BuiltList list,
                                    Addr pc_base, unsigned reg_base,
                                    WalkOptions opts, std::uint64_t seed)
     : heap(heap), list(std::move(list)), pcBase(pc_base),
-      regBase(reg_base), opts(opts), rng(seed), cur(this->list.head)
+      regBase(reg_base), opts(opts), fpChance(opts.fpFrac), rng(seed),
+      cur(this->list.head)
 {
 }
 
@@ -59,12 +71,8 @@ ListTraversalGen::emitBlock()
             off = (off + 4) % span;
         pushLoad(pcBase + 4 * k, cur + off, rp, rv, false);
     }
-    for (unsigned k = 0; k < opts.aluPerNode; ++k) {
-        if (rng.chance(opts.fpFrac))
-            pushFp(pcBase + 0x40 + 4 * k, rv, rc);
-        else
-            pushAlu(pcBase + 0x40 + 4 * k, rv, rc);
-    }
+    for (unsigned k = 0; k < opts.aluPerNode; ++k)
+        pushCompute(pcBase + 0x40 + 4 * k, rv, rc, rng.chance(fpChance));
     // The recurrence load: next = cur->next.
     pushLoad(pcBase + 0x80, cur + list.nextOffset, rp, rp, true);
     // Loop branch: the list is circular, so always taken.
@@ -117,7 +125,7 @@ TreeSearchGen::emitBlock()
     const std::uint32_t right = heap.read32(cur + tree.rightOffset);
     // Random search key -> effectively random direction; the branch
     // depends on the loaded key and mispredicts like real search code.
-    bool go_left = rng.chance(0.5);
+    bool go_left = rng.chance(coinFlip);
     if (left == 0 && right == 0) {
         // Leaf: restart from the root on the next block.
     } else if (left == 0) {
@@ -157,7 +165,9 @@ HashLookupGen::HashLookupGen(HeapAllocator &heap, BuiltHash hash,
                              Addr pc_base, unsigned reg_base,
                              WalkOptions opts, std::uint64_t seed)
     : heap(heap), hash(std::move(hash)), pcBase(pc_base),
-      regBase(reg_base), opts(opts), rng(seed)
+      regBase(reg_base), opts(opts),
+      nodeCount(std::max<std::size_t>(this->hash.nodes.size(), 1)),
+      rng(seed)
 {
 }
 
@@ -170,8 +180,8 @@ HashLookupGen::emitBlock()
 
     // Pick a key: mostly present (a random node's key), sometimes not.
     std::uint32_t key;
-    if (!hash.nodes.empty() && rng.chance(0.8)) {
-        const Addr n = hash.nodes[rng.below(hash.nodes.size())];
+    if (!hash.nodes.empty() && rng.chance(keyPresent)) {
+        const Addr n = hash.nodes[rng.below(nodeCount)];
         key = heap.read32(n);
     } else {
         key = rng.next32();
@@ -400,7 +410,8 @@ RandomAccessGen::RandomAccessGen(Addr region_base, Addr region_bytes,
                                  Addr pc_base, unsigned reg_base,
                                  std::uint64_t seed)
     : base(region_base), bytes(region_bytes), pcBase(pc_base),
-      regBase(reg_base), rng(seed)
+      regBase(reg_base), words(std::max<Addr>(region_bytes / 4, 1)),
+      rng(seed)
 {
     if (bytes < 4)
         throw std::invalid_argument("RandomAccessGen: region too small");
@@ -412,7 +423,7 @@ RandomAccessGen::emitBlock()
     const auto rv = static_cast<std::int8_t>(regBase % numRegs);
     const auto rc = static_cast<std::int8_t>((regBase + 1) % numRegs);
 
-    const Addr off = static_cast<Addr>(rng.below(bytes / 4)) * 4;
+    const Addr off = static_cast<Addr>(rng.below(words)) * 4;
     // Address from a (register-resident) table index: no load-load
     // dependence, so these loads overlap freely.
     pushLoad(pcBase, base + off, noReg, rv, false);
@@ -442,10 +453,10 @@ ComputeGen::ComputeGen(Addr pc_base, unsigned reg_base,
                        Addr hot_bytes, unsigned hot_loads,
                        std::uint64_t seed)
     : pcBase(pc_base), regBase(reg_base),
-      blockUops(block_uops ? block_uops : 1), fpFrac(fp_frac),
-      branchRandomProb(branch_random_prob), hotBase(hot_base),
-      hotBytes(hot_bytes), hotLoads(hot_bytes >= 4 ? hot_loads : 0),
-      rng(seed)
+      blockUops(block_uops ? block_uops : 1), fpChance(fp_frac),
+      randomBranch(branch_random_prob), hotBase(hot_base),
+      hotWords(std::max<Addr>(hot_bytes / 4, 1)),
+      hotLoads(hot_bytes >= 4 ? hot_loads : 0), rng(seed)
 {
 }
 
@@ -457,7 +468,7 @@ ComputeGen::emitBlock()
     const auto r2 = static_cast<std::int8_t>((regBase + 2) % numRegs);
 
     for (unsigned k = 0; k < hotLoads; ++k) {
-        const Addr off = static_cast<Addr>(rng.below(hotBytes / 4)) * 4;
+        const Addr off = static_cast<Addr>(rng.below(hotWords)) * 4;
         pushLoad(pcBase + 0x200 + 4 * k, hotBase + off, noReg, r2,
                  false);
     }
@@ -465,14 +476,13 @@ ComputeGen::emitBlock()
         // Alternate dependent/independent ops: ~2-wide ILP.
         const auto dst = (k % 2) ? r0 : r1;
         const auto src = (k % 2) ? r1 : r0;
-        if (rng.chance(fpFrac))
-            pushFp(pcBase + 4 * k, src, dst);
-        else
-            pushAlu(pcBase + 4 * k, src, dst);
+        pushCompute(pcBase + 4 * k, src, dst, rng.chance(fpChance));
     }
-    const bool random_branch = rng.chance(branchRandomProb);
+    // The coin is drawn only for a random branch: the draw count is
+    // part of the stream.
+    const bool random_branch = rng.chance(randomBranch);
     pushBranch(pcBase + 0x100,
-               random_branch ? rng.chance(0.5) : true, r0);
+               random_branch ? rng.chance(coinFlip) : true, r0);
 }
 
 void
@@ -510,18 +520,21 @@ MixGen::add(std::unique_ptr<BlockUopSource> src, double weight)
     sources.push_back(std::move(src));
     totalWeight += weight;
     cumWeights.push_back(totalWeight);
-}
-
-BlockUopSource &
-MixGen::pick()
-{
-    const double at = rng.uniform() * totalWeight;
-    const auto it =
-        std::upper_bound(cumWeights.begin(), cumWeights.end(), at);
-    const std::size_t idx = std::min<std::size_t>(
-        static_cast<std::size_t>(it - cumWeights.begin()),
-        sources.size() - 1);
-    return *sources[idx];
+    // The total moved, so every threshold does. Each is found by
+    // binary search on unit(k << 11) * totalWeight, the selector value
+    // of a draw whose top 53 bits are k.
+    pickThresholds.clear();
+    for (const double c : cumWeights) {
+        std::uint64_t lo = 0, hi = std::uint64_t{1} << 53;
+        while (lo < hi) {
+            const std::uint64_t mid = lo + (hi - lo) / 2;
+            if (Rng::unit(mid << 11) * totalWeight >= c)
+                hi = mid;
+            else
+                lo = mid + 1;
+        }
+        pickThresholds.push_back(lo);
+    }
 }
 
 Uop
@@ -529,7 +542,7 @@ MixGen::next()
 {
     if (sources.empty())
         throw std::runtime_error("MixGen: no sources");
-    return pick().take();
+    return sources[pick(rng)]->take();
 }
 
 void
@@ -537,8 +550,12 @@ MixGen::fill(std::span<Uop> out)
 {
     if (sources.empty())
         throw std::runtime_error("MixGen: no sources");
+    // The selector draws from a local copy: its address never
+    // escapes, so its state stays in registers across take()'s calls.
+    Rng r = rng;
     for (Uop &u : out)
-        u = pick().take();
+        u = sources[pick(r)]->take();
+    rng = r;
 }
 
 void

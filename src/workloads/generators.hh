@@ -103,11 +103,16 @@ class BlockUopSource : public UopSource
         queue.push_back(u);
     }
 
+    /** An FP uop when @p fp, else an ALU uop; the type is a mask
+     *  select, so a random @p fp costs no host mispredict. */
     void
-    pushFp(Addr pc, std::int8_t src, std::int8_t dst)
+    pushCompute(Addr pc, std::int8_t src, std::int8_t dst, bool fp)
     {
+        constexpr auto alu = static_cast<std::uint8_t>(UopType::Alu);
+        constexpr auto fpu = static_cast<std::uint8_t>(UopType::Fp);
+        const auto mask = static_cast<std::uint8_t>(-static_cast<int>(fp));
         Uop u;
-        u.type = UopType::Fp;
+        u.type = static_cast<UopType>(alu ^ ((alu ^ fpu) & mask));
         u.pc = pc;
         u.src0 = src;
         u.dst = dst;
@@ -156,12 +161,13 @@ class ListTraversalGen : public BlockUopSource
     void emitBlock() override;
 
   private:
-    // cdplint: transient(heap, list, pcBase, regBase, opts) -- workload shape is rebuilt identically at construction from the same seed and config; only the walk cursor and RNG travel
+    // cdplint: transient(heap, list, pcBase, regBase, opts, fpChance) -- workload shape is rebuilt identically at construction from the same seed and config; only the walk cursor and RNG travel
     HeapAllocator &heap;
     BuiltList list;
     Addr pcBase;
     unsigned regBase;
     WalkOptions opts;
+    Rng::Threshold fpChance;
     Rng rng;
     Addr cur;
 };
@@ -217,12 +223,14 @@ class HashLookupGen : public BlockUopSource
     void emitBlock() override;
 
   private:
-    // cdplint: transient(heap, hash, pcBase, regBase, opts) -- workload shape is rebuilt identically at construction from the same seed and config; only the walk cursor and RNG travel
+    // cdplint: transient(heap, hash, pcBase, regBase, opts, nodeCount) -- workload shape is rebuilt identically at construction from the same seed and config; only the walk cursor and RNG travel
     HeapAllocator &heap;
     BuiltHash hash;
     Addr pcBase;
     unsigned regBase;
     WalkOptions opts;
+    /** hash.nodes.size() (1 when empty, where it is never drawn). */
+    Rng::Divisor nodeCount;
     Rng rng;
     /** Cap on chain hops per lookup (safety on degenerate chains). */
     static constexpr unsigned maxChain = 16;
@@ -342,11 +350,12 @@ class RandomAccessGen : public BlockUopSource
     void emitBlock() override;
 
   private:
-    // cdplint: transient(base, bytes, pcBase, regBase) -- workload shape is rebuilt identically at construction from the same seed and config; only the RNG travels
+    // cdplint: transient(base, bytes, pcBase, regBase, words) -- workload shape is rebuilt identically at construction from the same seed and config; only the RNG travels
     Addr base;
     Addr bytes;
     Addr pcBase;
     unsigned regBase;
+    Rng::Divisor words; //!< bytes / 4
     Rng rng;
 };
 
@@ -374,14 +383,14 @@ class ComputeGen : public BlockUopSource
     void emitBlock() override;
 
   private:
-    // cdplint: transient(pcBase, regBase, blockUops, fpFrac, branchRandomProb, hotBase, hotBytes, hotLoads) -- workload shape is rebuilt identically at construction from the same seed and config; only the RNG travels
+    // cdplint: transient(pcBase, regBase, blockUops, fpChance, randomBranch, hotBase, hotWords, hotLoads) -- workload shape is rebuilt identically at construction from the same seed and config; only the RNG travels
     Addr pcBase;
     unsigned regBase;
     unsigned blockUops;
-    double fpFrac;
-    double branchRandomProb;
+    Rng::Threshold fpChance;
+    Rng::Threshold randomBranch;
     Addr hotBase;
-    Addr hotBytes;
+    Rng::Divisor hotWords; //!< hot_bytes / 4 (1 when no hot loads)
     unsigned hotLoads;
     Rng rng;
 };
@@ -419,16 +428,36 @@ class MixGen : public UopSource
     void loadState(snap::Reader &r) override;
 
   private:
-    /** Draw the sub-source for the next uop (one RNG draw). */
-    BlockUopSource &pick();
+    /**
+     * Index of the sub-source for the next uop (one draw from @p r):
+     * the count of cumulative weights <= uniform() * totalWeight, the
+     * upper_bound index, summed from comparisons on the draw's top 53
+     * bits against the thresholds add() derives, so it costs no FP
+     * and no host mispredict.
+     */
+    std::size_t pick(Rng &r) const
+    {
+        const std::uint64_t k = r.next64() >> 11;
+        std::size_t idx = 0;
+        for (const std::uint64_t t : pickThresholds)
+            idx += k >= t ? 1 : 0;
+        return std::min(idx, sources.size() - 1);
+    }
 
-    // cdplint: transient(mixName, cumWeights, totalWeight) -- mix recipe is construction-time; only the constituent sources and the selector RNG travel
+    // cdplint: transient(mixName, cumWeights, totalWeight, pickThresholds) -- mix recipe is construction-time; only the constituent sources and the selector RNG travel
     std::string mixName;
     Rng rng;
     std::vector<std::unique_ptr<BlockUopSource>> sources;
     std::vector<std::unique_ptr<HeapAllocator>> auxiliaries;
     std::vector<double> cumWeights;
     double totalWeight = 0.0;
+    /**
+     * Per cumulative weight c, the least k = x >> 11 with
+     * unit(x) * totalWeight >= c (2^53 when none). unit(x) is k 2^-53
+     * exactly and a product with totalWeight > 0 never decreases as k
+     * grows, so c <= unit(x) * totalWeight iff k >= that threshold.
+     */
+    std::vector<std::uint64_t> pickThresholds;
 };
 
 } // namespace cdp

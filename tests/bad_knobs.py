@@ -4,7 +4,8 @@
 Every input below used to hang, run with a value nobody asked for, or
 fail late with an error that did not name the knob. Each must now exit
 non-zero within a second, with the offending key on stderr. The knobs
-that used to be unreachable from the CLI must parse and run.
+that used to be unreachable from the CLI must parse and run, and the
+config header must name the workloads --workloads lists.
 
 Usage: bad_knobs.py <cdpsim>
 """
@@ -26,11 +27,16 @@ BAD = [
     (["mem.l1_ways=3"], "mem.l1_kb"),
     (["mem.l2_kb=1000"], "mem.l2_kb"),
     (["no.such.key=1"], "no.such.key"),
+    # Every listed workload is checked before any simulation runs.
+    (["--workloads=b2c,nosuch"], "nosuch"),
 ]
 
 # Run lengths small enough that a correct run finishes quickly too.
 SHORT = ["warmup_uops=1000", "measure_uops=1000", "workload=b2c"]
 GOOD = [["core.retire_width=2", "mem.l1_ways=4"]]
+# The config header names the workloads --workloads lists.
+HEADER = [(["--workloads=tpcc-1"], "workload=tpcc-1"),
+          (["--workloads=tpcc-1,b2c"], "workload=tpcc-1,b2c")]
 
 
 def run(cdpsim, args, timeout):
@@ -67,6 +73,14 @@ def main():
             failures += 1
         else:
             print("ok: %s runs" % " ".join(args))
+    for args, line in HEADER:
+        res = run(cdpsim, SHORT + args, timeout=30)
+        if res.returncode != 0 or line not in res.stderr.splitlines():
+            print("FAIL: %s exited %d; header lacks %s:\n%s"
+                  % (" ".join(args), res.returncode, line, res.stderr))
+            failures += 1
+        else:
+            print("ok: %s -> %s" % (" ".join(args), line))
     if failures:
         sys.exit("%d bad-knob case(s) failed" % failures)
 

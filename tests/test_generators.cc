@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <span>
 #include <string>
@@ -299,3 +300,75 @@ INSTANTIATE_TEST_SUITE_P(
         std::replace(id.begin(), id.end(), '.', '_');
         return id;
     });
+
+TEST(RngExact, DivisorEqualsModulo)
+{
+    // The divide-free below(d) is x % d for every x, at the bounds
+    // where the reciprocal's error is largest.
+    constexpr std::uint64_t top = ~std::uint64_t{0};
+    constexpr std::uint64_t bounds[] = {
+        1,
+        2,
+        3,
+        7,
+        (std::uint64_t{1} << 31) - 1,
+        (std::uint64_t{1} << 32) - 1,
+        std::uint64_t{1} << 32,
+        (std::uint64_t{1} << 32) + 1,
+        (std::uint64_t{1} << 40) + 3,
+        (std::uint64_t{1} << 63) + 1,
+        top,
+    };
+    Rng draws(2024);
+    for (const std::uint64_t d : bounds) {
+        const Rng::Divisor div(d);
+        const std::uint64_t last_multiple = top - top % d;
+        for (const std::uint64_t x :
+             {std::uint64_t{0}, std::uint64_t{1}, d - 1, d, top,
+              last_multiple, last_multiple - 1})
+            ASSERT_EQ(div.mod(x), x % d) << "d " << d << " x " << x;
+        for (int i = 0; i < 1000000; ++i) {
+            const std::uint64_t x = draws.next64();
+            ASSERT_EQ(div.mod(x), x % d) << "d " << d << " x " << x;
+        }
+        // Rng::below on both paths consumes one draw and agrees.
+        Rng a(d), b(d);
+        for (int i = 0; i < 1000; ++i)
+            ASSERT_EQ(a.below(div), b.below(d)) << "d " << d;
+    }
+}
+
+TEST(RngExact, ThresholdEqualsUnitCompare)
+{
+    // The integer threshold decides exactly as unit(x) < p, including
+    // at the draws whose unit() value sits on either side of p.
+    const double probs[] = {-1.0, 0.0, 0x1.0p-60, 0.02, 0.15, 0.5, 0.8,
+                            1.0 - 0x1.0p-53, 1.0, 1.5,
+                            std::numeric_limits<double>::quiet_NaN()};
+    constexpr std::uint64_t kmax = (std::uint64_t{1} << 53) - 1;
+    Rng draws(99);
+    for (const double p : probs) {
+        const Rng::Threshold t(p);
+        std::vector<std::uint64_t> ks = {0, 1, 2, kmax - 1, kmax};
+        if (p > 0.0 && p < 1.0) {
+            const auto k = static_cast<std::uint64_t>(p * 0x1.0p53);
+            for (std::uint64_t j = k > 2 ? k - 2 : 0; j <= k + 2; ++j)
+                ks.push_back(j);
+        }
+        for (const std::uint64_t k : ks) {
+            for (const std::uint64_t low : {std::uint64_t{0},
+                                            std::uint64_t{0x7ff}}) {
+                const std::uint64_t x = k << 11 | low;
+                ASSERT_EQ(t.hit(x), Rng::unit(x) < p)
+                    << "p " << p << " k " << k;
+            }
+        }
+        for (int i = 0; i < 200000; ++i) {
+            const std::uint64_t x = draws.next64();
+            ASSERT_EQ(t.hit(x), Rng::unit(x) < p) << "p " << p;
+        }
+        Rng a(7), b(7);
+        for (int i = 0; i < 1000; ++i)
+            ASSERT_EQ(a.chance(t), b.chance(p)) << "p " << p;
+    }
+}

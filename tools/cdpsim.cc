@@ -135,9 +135,18 @@ parse(int argc, char **argv)
             } else {
                 std::stringstream ss(list);
                 std::string item;
-                while (std::getline(ss, item, ','))
-                    if (!item.empty())
-                        opt.workloads.push_back(item);
+                while (std::getline(ss, item, ',')) {
+                    if (item.empty())
+                        continue;
+                    try {
+                        findBenchmark(item);
+                    } catch (const std::invalid_argument &) {
+                        throw std::invalid_argument(
+                            "--workloads: unknown workload '" + item +
+                            "'");
+                    }
+                    opt.workloads.push_back(item);
+                }
             }
         } else if (arg == "--help" || arg == "-h") {
             usage(true);
@@ -150,6 +159,7 @@ parse(int argc, char **argv)
                       cfg_args.data());
     if (opt.workloads.empty())
         opt.workloads.push_back(opt.cfg.workload);
+    opt.cfg.workload = opt.workloads.front();
     if (opt.traceWanted()) {
         if (opt.workloads.size() > 1)
             throw std::invalid_argument(
@@ -267,12 +277,24 @@ capture(const SimConfig &cfg, const std::string &path)
     StatGroup stats;
     MemorySystem mem(cfg, sim.heap().backingStore(),
                      sim.heap().pageTable(), &stats);
-    OooCore core(cfg.core, cap, mem, &stats);
+    OooCore core(cfg.core, cap, mem, &stats, "core", cfg.sched.coreLoop());
     core.run(cfg.warmupUops + cfg.measureUops);
     cap.finish();
     std::fprintf(stderr, "captured %llu uops to %s\n",
                  static_cast<unsigned long long>(cap.captured()),
                  path.c_str());
+}
+
+/** The stderr config header: the summary, its workload= line (the
+ *  knob table's first row) naming every listed workload. */
+std::string
+header(const Options &opt)
+{
+    std::string listed;
+    for (const std::string &w : opt.workloads)
+        listed += (listed.empty() ? "" : ",") + w;
+    const std::string summary = opt.cfg.summary();
+    return "workload=" + listed + summary.substr(summary.find('\n'));
 }
 
 } // namespace
@@ -284,15 +306,12 @@ main(int argc, char **argv)
         Options opt = parse(argc, argv);
 
         if (!opt.capturePath.empty()) {
-            SimConfig c = opt.cfg;
-            c.workload = opt.workloads.front();
-            capture(c, opt.capturePath);
+            capture(opt.cfg, opt.capturePath);
             return 0;
         }
 
         if (!opt.checkpointOut.empty() || !opt.checkpointIn.empty()) {
-            SimConfig c = opt.cfg;
-            c.workload = opt.workloads.front();
+            const SimConfig &c = opt.cfg;
             if (opt.csv)
                 printCsvHeader();
             else
@@ -327,8 +346,7 @@ main(int argc, char **argv)
         if (opt.traceWanted()) {
             // Traced runs stay on this thread: the tracer lives in
             // the run's MemorySystem and is dumped after it settles.
-            SimConfig c = opt.cfg;
-            c.workload = opt.workloads.front();
+            const SimConfig &c = opt.cfg;
             if (opt.csv)
                 printCsvHeader();
             else
@@ -357,7 +375,7 @@ main(int argc, char **argv)
         if (opt.csv)
             printCsvHeader();
         else
-            std::fprintf(stderr, "%s\n\n", opt.cfg.summary().c_str());
+            std::fprintf(stderr, "%s\n\n", header(opt).c_str());
 
         // Fan the workloads out; each task also captures its stats
         // dump as text so rows and dumps print in listing order no

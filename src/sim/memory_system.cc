@@ -22,6 +22,14 @@ isCdpKnob(const Knob &k)
     return std::string_view(k.key).starts_with("cdp.");
 }
 
+/** " (depth d)" description suffix of provenance bucket @p d. */
+std::string
+depthLabel(unsigned d)
+{
+    return (d + 1 == provDepthBuckets ? " (depth >= " : " (depth ") +
+           std::to_string(d) + ")";
+}
+
 } // namespace
 
 MemorySystem::MemorySystem(const SimConfig &cfg, BackingStore &store,
@@ -66,50 +74,28 @@ MemorySystem::MemorySystem(const SimConfig &cfg, BackingStore &store,
     skipIdle = cfg.sched.mode == "wheel";
     cdpDepthHighWater = std::max(cfg.cdp.depthThreshold, 1u);
     StatGroup &sg = stats ? *stats : dummyStatGroup;
-    // StatGroup keeps raw pointers into provFormulas; reserve the
-    // exact count so emplace_back can never reallocate them away.
-    provFormulas.reserve(4 * provDepthBuckets + 2);
-    for (unsigned d = 0; d < provDepthBuckets; ++d) {
-        const std::string base = "prov.d" + std::to_string(d) + ".";
-        const std::string at =
-            d + 1 == provDepthBuckets
-                ? "depth >= " + std::to_string(d)
-                : "depth " + std::to_string(d);
-        provFormulas.emplace_back(
-            sg, base + "accurate",
-            "content prefetches first-touched by a demand (" + at + ")",
-            [this, d] {
-                return static_cast<double>(ctr.depthAccurate[d]);
-            });
-        provFormulas.emplace_back(
-            sg, base + "late",
-            "content prefetches promoted while in flight (" + at + ")",
-            [this, d] {
-                return static_cast<double>(ctr.depthLate[d]);
-            });
-        provFormulas.emplace_back(
-            sg, base + "dropped",
-            "content prefetches squashed before issue (" + at + ")",
-            [this, d] {
-                return static_cast<double>(ctr.depthDropped[d]);
-            });
-        provFormulas.emplace_back(
-            sg, base + "polluting",
-            "content-prefetched lines evicted unused (" + at + ")",
-            [this, d] {
-                return static_cast<double>(ctr.depthPolluting[d]);
-            });
-    }
-    provFormulas.emplace_back(
-        sg, "prov.reinforce_promotions",
-        "depth-tag promotions recorded by path reinforcement",
-        [this] {
-            return static_cast<double>(ctr.reinforcePromotions);
-        });
-    provFormulas.emplace_back(
-        sg, "prov.reinforce_rescans",
-        "reinforcement promotions that also triggered a rescan",
-        [this] { return static_cast<double>(ctr.rescans); });
+#define CDP_REGISTER(field, key, desc) sg.add(key, desc, &ctr.field);
+#define CDP_REGISTER_DEPTH(field, key, desc)                                 \
+    for (unsigned d = 0; d < provDepthBuckets; ++d)                          \
+        sg.add("prov.d" + std::to_string(d) + "." + key,                     \
+               std::string(desc) + depthLabel(d), &ctr.field[d]);
+    CDP_MEM_COUNTERS(CDP_REGISTER, CDP_REGISTER_DEPTH)
+#undef CDP_REGISTER_DEPTH
+#undef CDP_REGISTER
+}
+
+MemorySystem::Counters
+MemorySystem::Counters::operator-(const Counters &before) const
+{
+    Counters d;
+#define CDP_SUB(field, key, desc) d.field = field - before.field;
+#define CDP_SUB_DEPTH(field, key, desc)                                      \
+    for (unsigned i = 0; i < provDepthBuckets; ++i)                          \
+        d.field[i] = field[i] - before.field[i];
+    CDP_MEM_COUNTERS(CDP_SUB, CDP_SUB_DEPTH)
+#undef CDP_SUB_DEPTH
+#undef CDP_SUB
+    return d;
 }
 
 Cycle
@@ -846,18 +832,6 @@ MemorySystem::store(Addr pc, Addr vaddr, Cycle now)
     return now + 1;
 }
 
-// Single field list so save, load, and any future diff stay in sync
-// (the arrays travel separately below).
-#define CDP_FOR_EACH_COUNTER(X)                                        \
-    X(demandLoads) X(l1Misses) X(l2DemandAccesses) X(l2DemandMisses)   \
-    X(maskFullStride) X(maskPartialStride) X(maskFullCdp)              \
-    X(maskPartialCdp) X(strideIssued) X(cdpIssued) X(cdpIssuedOverlap) \
-    X(cdpUsefulOverlap) X(strideUseful) X(cdpUseful) X(pfDropL2Hit)    \
-    X(pfDropInflight) X(pfDropQueued) X(pfDropBusFull)                 \
-    X(pfDropUnmapped) X(pfDropArbiter) X(demandWalks)                  \
-    X(prefetchWalks) X(promotions) X(rescans) X(reinforcePromotions)   \
-    X(pollutionInjected) X(prefetchEvictedUnused)
-
 void
 MemorySystem::saveState(snap::Writer &w) const
 {
@@ -908,16 +882,6 @@ MemorySystem::saveState(snap::Writer &w) const
     w.u64(checkTick);
     w.u64(cdpDepthHighWater);
     w.rng(pollutionRng);
-
-#define CDP_SAVE_COUNTER(f) w.u64(ctr.f);
-    CDP_FOR_EACH_COUNTER(CDP_SAVE_COUNTER)
-#undef CDP_SAVE_COUNTER
-    for (unsigned d = 0; d < provDepthBuckets; ++d) {
-        w.u64(ctr.depthAccurate[d]);
-        w.u64(ctr.depthLate[d]);
-        w.u64(ctr.depthDropped[d]);
-        w.u64(ctr.depthPolluting[d]);
-    }
 }
 
 void
@@ -966,18 +930,6 @@ MemorySystem::loadState(snap::Reader &r)
     cdpDepthHighWater = std::max(
         cdpDepthHighWater, static_cast<unsigned>(r.u64()));
     r.rng(pollutionRng);
-
-#define CDP_LOAD_COUNTER(f) ctr.f = r.u64();
-    CDP_FOR_EACH_COUNTER(CDP_LOAD_COUNTER)
-#undef CDP_LOAD_COUNTER
-    for (unsigned d = 0; d < provDepthBuckets; ++d) {
-        ctr.depthAccurate[d] = r.u64();
-        ctr.depthLate[d] = r.u64();
-        ctr.depthDropped[d] = r.u64();
-        ctr.depthPolluting[d] = r.u64();
-    }
 }
-
-#undef CDP_FOR_EACH_COUNTER
 
 } // namespace cdp

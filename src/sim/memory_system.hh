@@ -26,7 +26,7 @@
 
 #include <algorithm>
 #include <memory>
-#include <vector>
+#include <type_traits>
 
 #include "common/rng.hh"
 #include "common/types.hh"
@@ -65,6 +65,87 @@ provDepthBucket(unsigned depth)
 {
     return depth < provDepthBuckets ? depth : provDepthBuckets - 1;
 }
+
+/**
+ * The memory-system counter table: one row per field of
+ * MemorySystem::Counters, in field order, giving the field, its stats
+ * dump key and its description. C rows are single counters; D rows
+ * are per-depth arrays of provDepthBuckets counters dumped as
+ * prov.d<i>.<key> (index = provDepthBucket(chain depth)). The struct
+ * is generated from this table, and MemorySystem registers every row
+ * in its StatGroup, so the dump, warm-up reset and STAT checkpoint
+ * section all cover every field.
+ */
+#define CDP_MEM_COUNTERS(C, D)                                               \
+    /* Demand-side accounting. */                                            \
+    C(demandLoads, "mem.demand_loads", "demand loads")                       \
+    C(l1Misses, "mem.l1_misses", "demand accesses that missed the DL1")     \
+    C(l2DemandAccesses, "mem.l2_demand_accesses",                            \
+      "demand lookups of the UL2")                                           \
+    C(l2DemandMisses, "mem.l2_demand_misses",                                \
+      "demand UL2 misses that started a fresh fill")                         \
+    /* Figure 10 buckets: how demand UL2 lookups that would have            \
+       missed were (not) masked. */                                          \
+    C(maskFullStride, "mem.mask_full_stride",                                \
+      "misses fully masked by a stride prefetch")                            \
+    C(maskPartialStride, "mem.mask_partial_stride",                          \
+      "misses partially masked by an in-flight stride prefetch")             \
+    C(maskFullCdp, "mem.mask_full_cdp",                                      \
+      "misses fully masked by a content prefetch")                           \
+    C(maskPartialCdp, "mem.mask_partial_cdp",                                \
+      "misses partially masked by an in-flight content prefetch")            \
+    /* Prefetch accounting per class. strideIssued covers both history      \
+       prefetchers (Markov requests share the stride priority class). */     \
+    C(strideIssued, "mem.stride_issued",                                     \
+      "stride/Markov prefetches put on the bus")                             \
+    C(cdpIssued, "mem.cdp_issued", "content prefetches put on the bus")      \
+    C(cdpIssuedOverlap, "mem.cdp_issued_overlap",                            \
+      "content prefetches the baseline prefetcher also covered")             \
+    C(cdpUsefulOverlap, "mem.cdp_useful_overlap",                            \
+      "useful content prefetches the baseline also covered")                 \
+    C(strideUseful, "mem.stride_useful",                                     \
+      "stride/Markov prefetches a demand used")                              \
+    C(cdpUseful, "mem.cdp_useful", "content prefetches a demand used")       \
+    /* Drop reasons. */                                                      \
+    C(pfDropL2Hit, "mem.pf_drop_l2_hit",                                     \
+      "prefetches dropped: line already in the UL2")                         \
+    C(pfDropInflight, "mem.pf_drop_inflight",                                \
+      "prefetches dropped: line already in flight")                          \
+    C(pfDropQueued, "mem.pf_drop_queued",                                    \
+      "prefetches dropped: line already queued")                             \
+    C(pfDropBusFull, "mem.pf_drop_bus_full",                                 \
+      "prefetches dropped: bus queue full")                                  \
+    C(pfDropUnmapped, "mem.pf_drop_unmapped",                                \
+      "prefetches dropped: address not mapped")                              \
+    C(pfDropArbiter, "mem.pf_drop_arbiter",                                  \
+      "prefetches dropped: squashed by the UL2 arbiter")                     \
+    /* TLB / walks. */                                                       \
+    C(demandWalks, "mem.demand_walks", "page walks for demand accesses")    \
+    C(prefetchWalks, "mem.prefetch_walks",                                   \
+      "speculative page walks for prefetch candidates")                      \
+    /* Reinforcement. promotions also counts arbiter extractions;           \
+       reinforcePromotions only the depth-tag promotions of                  \
+       reinforceOnHit. */                                                    \
+    C(promotions, "mem.promotions",                                          \
+      "depth-tag promotions and arbiter extractions")                        \
+    C(rescans, "prov.reinforce_rescans",                                     \
+      "reinforcement promotions that also triggered a rescan")               \
+    C(reinforcePromotions, "prov.reinforce_promotions",                      \
+      "depth-tag promotions recorded by path reinforcement")                 \
+    /* Pollution study. */                                                   \
+    C(pollutionInjected, "mem.pollution_injected",                           \
+      "bad prefetches injected on idle bus slots")                           \
+    /* Unused prefetched lines evicted (accuracy complement). */             \
+    C(prefetchEvictedUnused, "mem.prefetch_evicted_unused",                  \
+      "prefetched lines evicted before any demand touch")                    \
+    /* Per-depth provenance of content prefetches. */                        \
+    D(depthAccurate, "accurate",                                             \
+      "content prefetches first-touched by a demand")                        \
+    D(depthLate, "late", "content prefetches promoted while in flight")      \
+    D(depthDropped, "dropped",                                               \
+      "content prefetches squashed before issue")                            \
+    D(depthPolluting, "polluting",                                           \
+      "content-prefetched lines evicted unused")
 
 /**
  * The complete Figure 6 memory hierarchy.
@@ -117,64 +198,38 @@ class MemorySystem : public CoreMemIf
     MarkovPrefetcher *markovPf() { return markov.get(); }
     const Bus &frontBus() const { return bus; }
 
-    /** Aggregate counters the benches read out. */
+    /**
+     * Aggregate counters the benches read out: plain words, one per
+     * CDP_MEM_COUNTERS row, so a result can be copied and hashed as
+     * raw bytes.
+     */
     struct Counters
     {
-        // Demand-side accounting.
-        std::uint64_t demandLoads = 0;
-        std::uint64_t l1Misses = 0;
-        std::uint64_t l2DemandAccesses = 0;
-        std::uint64_t l2DemandMisses = 0; //!< true misses (fresh fills)
-        // Figure 10 buckets: how demand L2 lookups that would have
-        // missed were (not) masked.
-        std::uint64_t maskFullStride = 0;
-        std::uint64_t maskPartialStride = 0;
-        std::uint64_t maskFullCdp = 0;
-        std::uint64_t maskPartialCdp = 0;
-        // Prefetch accounting per class. strideIssued covers both
-        // history prefetchers (Markov requests share the stride
-        // priority class).
-        std::uint64_t strideIssued = 0;
-        std::uint64_t cdpIssued = 0;
-        std::uint64_t cdpIssuedOverlap = 0; //!< stride also covered it
-        std::uint64_t cdpUsefulOverlap = 0;
-        std::uint64_t strideUseful = 0;
-        std::uint64_t cdpUseful = 0;
-        // Drop reasons.
-        std::uint64_t pfDropL2Hit = 0;
-        std::uint64_t pfDropInflight = 0;
-        std::uint64_t pfDropQueued = 0;
-        std::uint64_t pfDropBusFull = 0;
-        std::uint64_t pfDropUnmapped = 0;
-        std::uint64_t pfDropArbiter = 0;
-        // TLB / walks.
-        std::uint64_t demandWalks = 0;
-        std::uint64_t prefetchWalks = 0;
-        // Reinforcement.
-        std::uint64_t promotions = 0;
-        std::uint64_t rescans = 0;
-        /** Depth-tag promotions recorded by reinforceOnHit alone
-         *  (promotions also counts arbiter extractions). */
-        std::uint64_t reinforcePromotions = 0;
-        // Pollution study.
-        std::uint64_t pollutionInjected = 0;
-        // Unused prefetched lines evicted (accuracy complement).
-        std::uint64_t prefetchEvictedUnused = 0;
-        // Per-depth provenance attribution for content prefetches
-        // (index = provDepthBucket(chain depth)):
-        //  accurate  — first demand touch of a completed prefetch
-        //  late      — demand promoted the prefetch while in flight
-        //  dropped   — squashed before issue (any drop reason)
-        //  polluting — evicted without ever being demanded
-        std::uint64_t depthAccurate[provDepthBuckets] = {};
-        std::uint64_t depthLate[provDepthBuckets] = {};
-        std::uint64_t depthDropped[provDepthBuckets] = {};
-        std::uint64_t depthPolluting[provDepthBuckets] = {};
+#define CDP_COUNTER_FIELD(field, key, desc) std::uint64_t field = 0;
+#define CDP_DEPTH_FIELD(field, key, desc)                                    \
+    std::uint64_t field[provDepthBuckets] = {};
+        CDP_MEM_COUNTERS(CDP_COUNTER_FIELD, CDP_DEPTH_FIELD)
+#undef CDP_DEPTH_FIELD
+#undef CDP_COUNTER_FIELD
+
+        /** Field-wise difference: the counts since @p before. */
+        Counters operator-(const Counters &before) const;
     };
+
+#define CDP_COUNT_ONE(field, key, desc) +1
+#define CDP_COUNT_DEPTH(field, key, desc) +provDepthBuckets
+    // No field without a row, and no padding: the struct is exactly
+    // one word per table entry.
+    static_assert(sizeof(Counters) ==
+                  (0 CDP_MEM_COUNTERS(CDP_COUNT_ONE, CDP_COUNT_DEPTH)) *
+                      sizeof(std::uint64_t));
+#undef CDP_COUNT_DEPTH
+#undef CDP_COUNT_ONE
+    static_assert(std::is_trivially_copyable_v<Counters>);
 
     const Counters &counters() const { return ctr; }
 
-    /** Zero the counters (end of warm-up). */
+    /** Zero the counters (StatGroup::resetAll does too). */
     void resetCounters() { ctr = Counters{}; }
 
     /**
@@ -335,7 +390,7 @@ class MemorySystem : public CoreMemIf
     // cdplint: transient(trc) -- pure observer; trace buffers are diagnostic output, not architectural state
     obs::Tracer trc; //!< lifecycle-event recorder (pure observer)
 
-    // cdplint: transient(dummyStatGroup, loadLatency, prefetchLead, provChainDepth, provFormulas) -- Stats are observational, reset at warm-up end, and travel via the stats dump, not the checkpoint
+    // cdplint: transient(dummyStatGroup, loadLatency, prefetchLead, provChainDepth) -- Stats are observational, reset at warm-up end, and travel via the stats dump, not the checkpoint
     StatGroup dummyStatGroup; //!< sink when no group is supplied
     /** Demand-load latency distribution (cycles, log-ish buckets). */
     Distribution loadLatency;
@@ -344,13 +399,8 @@ class MemorySystem : public CoreMemIf
     Distribution prefetchLead;
     /** Chain depth of every issued content prefetch (provenance). */
     Distribution provChainDepth;
-    /**
-     * prov.* formulas mirroring the per-depth Counters arrays into
-     * the stats dump (reserve()d up front: StatGroup keeps raw
-     * pointers into this vector).
-     */
-    std::vector<Formula> provFormulas;
 
+    // cdplint: transient(ctr) -- every field is registered in the StatGroup and travels in the STAT section, not MSYS
     Counters ctr;
 };
 

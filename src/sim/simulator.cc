@@ -6,50 +6,6 @@ namespace cdp
 namespace
 {
 
-/** Field-wise difference of two counter snapshots. */
-MemorySystem::Counters
-diffCounters(const MemorySystem::Counters &a,
-             const MemorySystem::Counters &b)
-{
-    MemorySystem::Counters d;
-#define CDP_DIFF(f) d.f = a.f - b.f
-    CDP_DIFF(demandLoads);
-    CDP_DIFF(l1Misses);
-    CDP_DIFF(l2DemandAccesses);
-    CDP_DIFF(l2DemandMisses);
-    CDP_DIFF(maskFullStride);
-    CDP_DIFF(maskPartialStride);
-    CDP_DIFF(maskFullCdp);
-    CDP_DIFF(maskPartialCdp);
-    CDP_DIFF(strideIssued);
-    CDP_DIFF(cdpIssued);
-    CDP_DIFF(cdpIssuedOverlap);
-    CDP_DIFF(cdpUsefulOverlap);
-    CDP_DIFF(strideUseful);
-    CDP_DIFF(cdpUseful);
-    CDP_DIFF(pfDropL2Hit);
-    CDP_DIFF(pfDropInflight);
-    CDP_DIFF(pfDropQueued);
-    CDP_DIFF(pfDropBusFull);
-    CDP_DIFF(pfDropUnmapped);
-    CDP_DIFF(pfDropArbiter);
-    CDP_DIFF(demandWalks);
-    CDP_DIFF(prefetchWalks);
-    CDP_DIFF(promotions);
-    CDP_DIFF(rescans);
-    CDP_DIFF(reinforcePromotions);
-    CDP_DIFF(pollutionInjected);
-    CDP_DIFF(prefetchEvictedUnused);
-    for (unsigned i = 0; i < provDepthBuckets; ++i) {
-        CDP_DIFF(depthAccurate[i]);
-        CDP_DIFF(depthLate[i]);
-        CDP_DIFF(depthDropped[i]);
-        CDP_DIFF(depthPolluting[i]);
-    }
-#undef CDP_DIFF
-    return d;
-}
-
 const SimConfig &
 validated(const SimConfig &cfg)
 {
@@ -85,29 +41,13 @@ Simulator::warmup(std::uint64_t uops)
 }
 
 RunResult
-Simulator::snapshotDelta(Cycle cycles, std::uint64_t uops,
-                         const MemorySystem::Counters &before) const
-{
-    RunResult r;
-    r.workload = cfg.workload;
-    r.cycles = cycles;
-    r.uops = uops;
-    r.ipc = cycles ? static_cast<double>(uops) / cycles : 0.0;
-    r.mem = diffCounters(memsys->counters(), before);
-    return r;
-}
-
-RunResult
 Simulator::measure(std::uint64_t uops)
 {
-    statGroup.resetAll();
-    memsys->resetCounters();
+    statGroup.resetAll(); // zeroes the memory-system counters too
     cpu->resetMeasurement();
-    const MemorySystem::Counters before{}; // just reset
-    const std::uint64_t u0 = cpu->retiredUops();
-    const Cycle cycles = cpu->run(uops);
+    RunResult r = runChunk(uops);
     memsys->checkInvariants();
-    return snapshotDelta(cycles, cpu->retiredUops() - u0, before);
+    return r;
 }
 
 RunResult
@@ -115,8 +55,13 @@ Simulator::runChunk(std::uint64_t uops)
 {
     const MemorySystem::Counters before = memsys->counters();
     const std::uint64_t u0 = cpu->retiredUops();
-    const Cycle cycles = cpu->run(uops);
-    return snapshotDelta(cycles, cpu->retiredUops() - u0, before);
+    RunResult r;
+    r.workload = cfg.workload;
+    r.cycles = cpu->run(uops);
+    r.uops = cpu->retiredUops() - u0;
+    r.ipc = r.cycles ? static_cast<double>(r.uops) / r.cycles : 0.0;
+    r.mem = memsys->counters() - before;
+    return r;
 }
 
 RunResult

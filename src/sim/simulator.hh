@@ -123,9 +123,6 @@ class Simulator
     void restoreCheckpointFile(const std::string &path);
 
   private:
-    RunResult snapshotDelta(Cycle cycles, std::uint64_t uops,
-                            const MemorySystem::Counters &before) const;
-
     SimConfig cfg;
     StatGroup statGroup;
     BackingStore store;

@@ -14,7 +14,7 @@
  *   WKLD  workload generator (name-guarded)
  *   MSYS  MemorySystem (caches, TLB, prefetchers, arbiter ledger)
  *   CORE  OooCore pipeline + branch predictor
- *   STAT  StatGroup scalar/distribution values
+ *   STAT  StatGroup counters (memory-system ones too), distributions
  *
  * The guarded configuration — the rows of the knob table
  * (src/sim/config.cc) marked guarded — covers everything that shapes

@@ -10,9 +10,8 @@ namespace cdp
 {
 
 Scalar::Scalar(StatGroup &group, std::string name, std::string desc)
-    : _name(std::move(name)), _desc(std::move(desc))
 {
-    group.add(this);
+    group.add(std::move(name), std::move(desc), &_value);
 }
 
 Distribution::Distribution(StatGroup &group, std::string name,
@@ -61,7 +60,8 @@ Distribution::print(std::ostream &os) const
 {
     os << _name << " count=" << _count;
     if (_count) {
-        os << " mean=" << mean() << " min=" << _min << " max=" << _max;
+        os << std::fixed << std::setprecision(6) << " mean=" << mean()
+           << " min=" << _min << " max=" << _max;
     }
     os << " buckets=[";
     for (std::size_t i = 0; i < _buckets.size(); ++i) {
@@ -72,49 +72,31 @@ Distribution::print(std::ostream &os) const
     os << "] under=" << _underflow << " over=" << _overflow;
 }
 
-Formula::Formula(StatGroup &group, std::string name, std::string desc,
-                 std::function<double()> fn)
-    : _name(std::move(name)), _desc(std::move(desc)), _fn(std::move(fn))
+void
+StatGroup::add(std::string name, std::string desc, std::uint64_t *value)
 {
-    group.add(this);
+    const auto at = std::upper_bound(
+        counters.begin(), counters.end(), name,
+        [](const std::string &n, const Counter &c) { return n < c.name; });
+    counters.insert(at, Counter{std::move(name), std::move(desc), value});
 }
 
 void
 StatGroup::resetAll()
 {
-    for (auto *s : scalars)
-        s->reset();
+    for (const Counter &c : counters)
+        *c.value = 0;
     for (auto *d : dists)
         d->reset();
-    // Formulas hold no state of their own.
 }
 
 void
 StatGroup::dump(std::ostream &os) const
 {
-    std::vector<const Scalar *> sorted(scalars.begin(), scalars.end());
-    std::sort(sorted.begin(), sorted.end(),
-              [](const Scalar *a, const Scalar *b) {
-                  return a->name() < b->name();
-              });
-    for (const auto *s : sorted) {
-        os << std::left << std::setw(48) << s->name() << ' '
-           << std::right << std::setw(16) << s->value()
-           << "  # " << s->desc() << '\n';
+    for (const Counter &c : counters) {
+        os << std::left << std::setw(48) << c.name << ' ' << std::right
+           << std::setw(16) << *c.value << "  # " << c.desc << '\n';
     }
-
-    std::vector<const Formula *> fsorted(formulas.begin(), formulas.end());
-    std::sort(fsorted.begin(), fsorted.end(),
-              [](const Formula *a, const Formula *b) {
-                  return a->name() < b->name();
-              });
-    for (const auto *f : fsorted) {
-        os << std::left << std::setw(48) << f->name() << ' '
-           << std::right << std::setw(16) << std::fixed
-           << std::setprecision(6) << f->value()
-           << "  # " << f->desc() << '\n';
-    }
-
     for (const auto *d : dists) {
         d->print(os);
         os << '\n';
@@ -153,25 +135,55 @@ Distribution::loadState(snap::Reader &r)
     _max = r.f64();
 }
 
-void
-StatGroup::saveValues(snap::Writer &w) const
+namespace
 {
-    std::vector<const Scalar *> sorted(scalars.begin(), scalars.end());
-    std::sort(sorted.begin(), sorted.end(),
-              [](const Scalar *a, const Scalar *b) {
-                  return a->name() < b->name();
-              });
-    w.u64(sorted.size());
-    for (const auto *s : sorted) {
-        w.str(s->name());
-        w.u64(s->value());
-    }
 
-    std::vector<const Distribution *> dsorted(dists.begin(), dists.end());
-    std::sort(dsorted.begin(), dsorted.end(),
+/** The distributions of @p dists sorted by name (checkpoint order). */
+std::vector<Distribution *>
+sortedByName(const std::vector<Distribution *> &dists)
+{
+    std::vector<Distribution *> out(dists);
+    std::sort(out.begin(), out.end(),
               [](const Distribution *a, const Distribution *b) {
                   return a->name() < b->name();
               });
+    return out;
+}
+
+/**
+ * Read the name of the @p i-th @p kind of a STAT section and match it
+ * against @p expected, the i-th registered name. saveValues writes
+ * names in sorted order, so each must sort strictly after @p prev: a
+ * repeat or an inversion is a corrupt section that would otherwise
+ * leave some stat unrestored.
+ */
+void
+expectName(snap::Reader &r, std::uint64_t i, std::string &prev,
+           const std::string &expected, const char *kind)
+{
+    std::string name = r.str();
+    const std::string what = "checkpoint " + std::string(kind) + " '";
+    if (i != 0 && name <= prev)
+        r.fail(what + name + "' " +
+               (name == prev ? "appears twice" : "is out of order"));
+    if (name < expected)
+        r.fail(what + name + "' is unknown to this simulator");
+    if (name != expected)
+        r.fail(what + expected + "' is missing from the checkpoint");
+    prev = std::move(name);
+}
+
+} // namespace
+
+void
+StatGroup::saveValues(snap::Writer &w) const
+{
+    w.u64(counters.size());
+    for (const Counter &c : counters) {
+        w.str(c.name);
+        w.u64(*c.value);
+    }
+    const std::vector<Distribution *> dsorted = sortedByName(dists);
     w.u64(dsorted.size());
     for (const auto *d : dsorted) {
         w.str(d->name());
@@ -182,60 +194,38 @@ StatGroup::saveValues(snap::Writer &w) const
 void
 StatGroup::loadValues(snap::Reader &r)
 {
-    const std::uint64_t nscalars = r.u64();
-    if (nscalars != scalars.size())
-        r.fail("checkpoint has " + std::to_string(nscalars) +
-               " scalar stats, this simulator registers " +
-               std::to_string(scalars.size()));
-    std::map<std::string, Scalar *> byName;
-    for (auto *s : scalars)
-        byName[s->name()] = s;
-    for (std::uint64_t i = 0; i < nscalars; ++i) {
-        const std::string name = r.str();
-        const std::uint64_t value = r.u64();
-        const auto it = byName.find(name);
-        if (it == byName.end())
-            r.fail("checkpoint stat '" + name +
-                   "' is unknown to this simulator");
-        it->second->set(value);
+    // Both lists are sorted by name, so with equal counts and
+    // strictly increasing names the i-th name must be the i-th stat.
+    const std::uint64_t ncounters = r.u64();
+    if (ncounters != counters.size())
+        r.fail("checkpoint has " + std::to_string(ncounters) +
+               " counters, this simulator registers " +
+               std::to_string(counters.size()));
+    std::string prev;
+    for (std::uint64_t i = 0; i < ncounters; ++i) {
+        expectName(r, i, prev, counters[i].name, "stat");
+        *counters[i].value = r.u64();
     }
 
+    const std::vector<Distribution *> dsorted = sortedByName(dists);
     const std::uint64_t ndists = r.u64();
-    if (ndists != dists.size())
+    if (ndists != dsorted.size())
         r.fail("checkpoint has " + std::to_string(ndists) +
                " distributions, this simulator registers " +
-               std::to_string(dists.size()));
-    std::map<std::string, Distribution *> distByName;
-    for (auto *d : dists)
-        distByName[d->name()] = d;
+               std::to_string(dsorted.size()));
     for (std::uint64_t i = 0; i < ndists; ++i) {
-        const std::string name = r.str();
-        const auto it = distByName.find(name);
-        if (it == distByName.end())
-            r.fail("checkpoint distribution '" + name +
-                   "' is unknown to this simulator");
-        it->second->loadState(r);
+        expectName(r, i, prev, dsorted[i]->name(), "distribution");
+        dsorted[i]->loadState(r);
     }
 }
 
-const Scalar *
-StatGroup::findScalar(const std::string &name) const
+const std::uint64_t *
+StatGroup::find(const std::string &name) const
 {
-    for (const auto *s : scalars) {
-        if (s->name() == name)
-            return s;
-    }
-    return nullptr;
-}
-
-const Formula *
-StatGroup::findFormula(const std::string &name) const
-{
-    for (const auto *f : formulas) {
-        if (f->name() == name)
-            return f;
-    }
-    return nullptr;
+    const auto it = std::lower_bound(
+        counters.begin(), counters.end(), name,
+        [](const Counter &c, const std::string &n) { return c.name < n; });
+    return it != counters.end() && it->name == name ? it->value : nullptr;
 }
 
 } // namespace cdp

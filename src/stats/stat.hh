@@ -5,20 +5,21 @@
  * Components register named statistics against a StatGroup; the group
  * can be reset at the end of warm-up (the paper discards everything
  * before 7.5 M retired uops) and dumped as text at the end of a run.
- * Three kinds of statistic are provided:
+ * Two kinds of statistic are provided, plus counters:
  *
- *  - Scalar: a named counter / value.
+ *  - Scalar: a named 64-bit counter that owns its value.
  *  - Distribution: a bucketed histogram with mean/min/max.
- *  - Formula: a value computed from other statistics at dump time
- *    (e.g. coverage = prefetch_hits / baseline_misses).
+ *  - Counters: any std::uint64_t registered by address through
+ *    StatGroup::add. Every row of the memory-system counter table
+ *    (CDP_MEM_COUNTERS) registers this way, and Scalars register
+ *    through the same entry, so dump, reset, checkpoint and lookup
+ *    walk one list of integer counters.
  */
 
 #ifndef CDP_STATS_STAT_HH
 #define CDP_STATS_STAT_HH
 
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -36,7 +37,8 @@ class StatGroup;
 
 /**
  * A named 64-bit counter with an optional description. Scalars are
- * the workhorse statistic: hits, misses, prefetches issued, etc.
+ * the workhorse statistic: hits, misses, prefetches issued, etc. The
+ * name and description live in the group's counter entry.
  */
 class Scalar
 {
@@ -52,12 +54,8 @@ class Scalar
     void reset() { _value = 0; }
 
     std::uint64_t value() const { return _value; }
-    const std::string &name() const { return _name; }
-    const std::string &desc() const { return _desc; }
 
   private:
-    std::string _name;
-    std::string _desc;
     std::uint64_t _value = 0;
 };
 
@@ -117,28 +115,6 @@ class Distribution
 };
 
 /**
- * A statistic computed on demand from other statistics. The closure
- * is evaluated at dump()/value() time, so formulas always reflect the
- * current counter values.
- */
-class Formula
-{
-  public:
-    Formula() = default;
-    Formula(StatGroup &group, std::string name, std::string desc,
-            std::function<double()> fn);
-
-    double value() const { return _fn ? _fn() : 0.0; }
-    const std::string &name() const { return _name; }
-    const std::string &desc() const { return _desc; }
-
-  private:
-    std::string _name;
-    std::string _desc;
-    std::function<double()> _fn;
-};
-
-/**
  * Owner of a set of statistics. Components hold a reference to a
  * StatGroup and construct their stats against it; the simulator owns
  * the group and resets/dumps it around the measurement phase.
@@ -155,43 +131,53 @@ class StatGroup
     StatGroup(const StatGroup &) = delete;
     StatGroup &operator=(const StatGroup &) = delete;
 
-    void add(Scalar *s) { scalars.push_back(s); }
+    /**
+     * Register the integer counter stored at @p value under @p name.
+     * The counter must outlive the group's last use.
+     */
+    void add(std::string name, std::string desc, std::uint64_t *value);
     void add(Distribution *d) { dists.push_back(d); }
-    void add(Formula *f) { formulas.push_back(f); }
 
-    /** Zero every resettable statistic (end of warm-up). */
+    /** Zero every counter and distribution (end of warm-up). */
     void resetAll();
 
-    /** Dump all statistics, sorted by name, to @p os. */
+    /**
+     * Dump every counter, sorted by name, then every distribution in
+     * registration order, to @p os.
+     */
     void dump(std::ostream &os) const;
 
     /**
-     * Look up a scalar by name.
-     * @return nullptr when no scalar has that name.
+     * Look up an integer counter by name.
+     * @return nullptr when no counter has that name.
      */
-    const Scalar *findScalar(const std::string &name) const;
-
-    /** Look up a formula by name; nullptr when absent. */
-    const Formula *findFormula(const std::string &name) const;
+    const std::uint64_t *find(const std::string &name) const;
 
     /**
-     * Serialize every scalar and distribution value, keyed by name in
-     * sorted order (formulas are recomputed, never stored). Part of
-     * the checkpoint format, DESIGN.md §11.
+     * Serialize every counter and distribution value, keyed by name
+     * in sorted order. Part of the checkpoint format, DESIGN.md §11.
      */
     void saveValues(snap::Writer &w) const;
 
     /**
      * Restore values saved by saveValues into the registered stats.
-     * The set of registered names must match the checkpoint exactly;
-     * any skew throws snap::SnapshotError.
+     * The names must match the registered ones exactly and arrive in
+     * strictly increasing order; any skew, repeat or reordering
+     * throws snap::SnapshotError naming the stat.
      */
     void loadValues(snap::Reader &r);
 
   private:
-    std::vector<Scalar *> scalars;
+    /** One integer counter: where it lives and how it is dumped. */
+    struct Counter
+    {
+        std::string name;
+        std::string desc;
+        std::uint64_t *value;
+    };
+
+    std::vector<Counter> counters; //!< sorted by name
     std::vector<Distribution *> dists;
-    std::vector<Formula *> formulas;
 };
 
 } // namespace cdp

@@ -169,7 +169,8 @@ class ConfigFuzzCheckpoint
  * be byte-identical to (warm → quiesce → checkpoint → restore into a
  * fresh machine → measure). Both the pre-measure state (full stats
  * dump, current cycle) and everything measured afterwards have to
- * agree exactly.
+ * agree exactly. The warm dump lists every memory-system counter, so
+ * this also proves each one survives save and restore.
  */
 TEST_P(ConfigFuzzCheckpoint, RestoredRunIsByteIdentical)
 {

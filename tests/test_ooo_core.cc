@@ -638,9 +638,8 @@ TEST(CoreLoops, FuzzedLatticeAgreesCallForCall)
                     ASSERT_EQ(a, b) << what << " run " << k;
                     expectSame(ev, cy, what + " run " + std::to_string(k));
                 }
-                rob_full += ev.stats.findScalar("core.rob_full_cycles")->value();
-                fetch_stall +=
-                    ev.stats.findScalar("core.fetch_stall_cycles")->value();
+                rob_full += *ev.stats.find("core.rob_full_cycles");
+                fetch_stall += *ev.stats.find("core.fetch_stall_cycles");
             }
         }
     }

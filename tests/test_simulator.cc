@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <sstream>
+
+#include "fuzz_config.hh"
 #include "sim/simulator.hh"
 
 using namespace cdp;
@@ -95,6 +99,54 @@ TEST(Simulator, RunChunkReportsDeltas)
     EXPECT_LE(c1.mem.demandLoads, c1.uops);
     EXPECT_LE(c2.mem.demandLoads, c2.uops);
     EXPECT_GT(c1.mem.demandLoads, 0u);
+    // Nothing was reset, so the two deltas sum to the cumulative
+    // counters, field by field.
+    const MemorySystem::Counters &total = sim.memory().counters();
+#define CDP_EXPECT_SUM(field, key, desc)                                     \
+    EXPECT_EQ(c1.mem.field + c2.mem.field, total.field) << key;
+#define CDP_EXPECT_SUM_DEPTH(field, key, desc)                               \
+    for (unsigned d = 0; d < provDepthBuckets; ++d)                          \
+        EXPECT_EQ(c1.mem.field[d] + c2.mem.field[d], total.field[d])         \
+            << key << " depth " << d;
+    CDP_MEM_COUNTERS(CDP_EXPECT_SUM, CDP_EXPECT_SUM_DEPTH)
+#undef CDP_EXPECT_SUM_DEPTH
+#undef CDP_EXPECT_SUM
+}
+
+TEST(Simulator, EveryCounterTableRowIsInTheDump)
+{
+    for (const std::uint64_t seed : {1u, 7u, 23u, 42u}) {
+        const SimConfig c = testcfg::randomConfig(seed);
+        SCOPED_TRACE("workload=" + c.workload + " seed=" +
+                     std::to_string(seed));
+        Simulator sim(c);
+        sim.warmup(c.warmupUops);
+        const RunResult r = sim.measure(c.measureUops);
+        std::ostringstream os;
+        sim.stats().dump(os);
+        std::map<std::string, std::string> dumped; // name -> value
+        std::istringstream is(os.str());
+        for (std::string name, value, rest; is >> name >> value;
+             std::getline(is, rest))
+            dumped[name] = value;
+        const auto dumpOf = [&](const std::string &key) {
+            const auto it = dumped.find(key);
+            return it == dumped.end() ? "<missing>" : it->second;
+        };
+        const MemorySystem::Counters &ctr = sim.memory().counters();
+#define CDP_EXPECT_DUMPED(field, key, desc)                                  \
+    EXPECT_EQ(dumpOf(key), std::to_string(ctr.field)) << key;              \
+    EXPECT_EQ(r.mem.field, ctr.field) << key;
+#define CDP_EXPECT_DUMPED_DEPTH(field, key, desc)                            \
+    for (unsigned d = 0; d < provDepthBuckets; ++d) {                        \
+        const std::string k = "prov.d" + std::to_string(d) + "." + key;      \
+        EXPECT_EQ(dumpOf(k), std::to_string(ctr.field[d])) << k;             \
+        EXPECT_EQ(r.mem.field[d], ctr.field[d]) << k;                        \
+    }
+        CDP_MEM_COUNTERS(CDP_EXPECT_DUMPED, CDP_EXPECT_DUMPED_DEPTH)
+#undef CDP_EXPECT_DUMPED_DEPTH
+#undef CDP_EXPECT_DUMPED
+    }
 }
 
 TEST(Simulator, CdpOffMatchesCdpOffBitForBit)

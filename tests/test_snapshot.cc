@@ -322,17 +322,18 @@ TEST_F(SnapshotCorruption, VersionSkewIsRejectedWithBothVersions)
         << err;
 }
 
-TEST_F(SnapshotCorruption, FormatFourFileIsRejected)
+TEST_F(SnapshotCorruption, FormatFiveFileIsRejected)
 {
-    // Format 4 sums sections with byte-serial FNV-1a; its files fail
-    // the version check instead of every section's checksum.
-    ASSERT_EQ(snap::formatVersion, 5u);
+    // Format 5 carries the memory-system counters in MSYS; format 6
+    // moved them into STAT, so a format-5 file fails the version
+    // check instead of misreading both sections.
+    ASSERT_EQ(snap::formatVersion, 6u);
     std::string old = bytes;
-    old[8] = 4; // little-endian u32 right after the magic
+    old[8] = 5; // little-endian u32 right after the magic
     const std::string err = restoreError(old);
     EXPECT_NE(err.find("version skew"), std::string::npos) << err;
-    EXPECT_NE(err.find("file has version 4"), std::string::npos) << err;
-    EXPECT_NE(err.find("reads version 5"), std::string::npos) << err;
+    EXPECT_NE(err.find("file has version 5"), std::string::npos) << err;
+    EXPECT_NE(err.find("reads version 6"), std::string::npos) << err;
 }
 
 namespace

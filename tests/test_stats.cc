@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <vector>
 
+#include "snapshot/ckpt_io.hh"
 #include "stats/stat.hh"
 
 using namespace cdp;
@@ -46,8 +48,12 @@ TEST(Scalar, NameAndDescStored)
 {
     StatGroup g;
     Scalar s(g, "core.loads", "demand loads");
-    EXPECT_EQ(s.name(), "core.loads");
-    EXPECT_EQ(s.desc(), "demand loads");
+    s += 3;
+    std::ostringstream os;
+    g.dump(os);
+    const std::string line = os.str();
+    EXPECT_EQ(line.rfind("core.loads ", 0), 0u) << line;
+    EXPECT_NE(line.find(" 3  # demand loads\n"), std::string::npos) << line;
 }
 
 TEST(StatGroup, ResetAllCoversEveryScalar)
@@ -66,10 +72,10 @@ TEST(StatGroup, FindScalarByName)
     StatGroup g;
     Scalar a(g, "alpha", ""), b(g, "beta", "");
     b += 9;
-    const Scalar *f = g.findScalar("beta");
+    const std::uint64_t *f = g.find("beta");
     ASSERT_NE(f, nullptr);
-    EXPECT_EQ(f->value(), 9u);
-    EXPECT_EQ(g.findScalar("gamma"), nullptr);
+    EXPECT_EQ(*f, 9u);
+    EXPECT_EQ(g.find("gamma"), nullptr);
 }
 
 TEST(StatGroup, DumpContainsNamesSorted)
@@ -85,6 +91,105 @@ TEST(StatGroup, DumpContainsNamesSorted)
     ASSERT_NE(pos_a, std::string::npos);
     ASSERT_NE(pos_z, std::string::npos);
     EXPECT_LT(pos_a, pos_z);
+}
+
+TEST(StatGroup, RegisteredWordIsDumpedResetAndFound)
+{
+    StatGroup g;
+    std::uint64_t word = 5;
+    Scalar b(g, "b", "");
+    g.add("a", "a counter kept elsewhere", &word);
+    std::ostringstream os;
+    g.dump(os);
+    // Registered words sort among the scalars and print as integers.
+    EXPECT_EQ(os.str().rfind("a ", 0), 0u) << os.str();
+    EXPECT_NE(os.str().find(" 5  # a counter kept elsewhere\n"),
+              std::string::npos)
+        << os.str();
+    ASSERT_EQ(g.find("a"), &word);
+    g.resetAll();
+    EXPECT_EQ(word, 0u);
+}
+
+namespace
+{
+
+/** A STAT section listing the counters @p names, each with value 7. */
+std::string
+statSection(const std::vector<std::string> &names)
+{
+    std::ostringstream os;
+    snap::Writer w(os);
+    w.beginSection("STAT");
+    w.u64(names.size());
+    for (const std::string &n : names) {
+        w.str(n);
+        w.u64(7);
+    }
+    w.u64(0); // no distributions
+    w.endSection();
+    w.finish();
+    return os.str();
+}
+
+/** The SnapshotError message of loading @p bytes into @p g. */
+std::string
+loadError(StatGroup &g, const std::string &bytes)
+{
+    std::istringstream is(bytes);
+    snap::Reader r(is);
+    r.enterSection("STAT");
+    try {
+        g.loadValues(r);
+    } catch (const snap::SnapshotError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+} // namespace
+
+TEST(StatGroup, LoadValuesRoundTrips)
+{
+    StatGroup g;
+    Scalar a(g, "a", ""), b(g, "b", "");
+    std::istringstream is(statSection({"a", "b"}));
+    snap::Reader r(is);
+    r.enterSection("STAT");
+    g.loadValues(r);
+    r.leaveSection();
+    EXPECT_EQ(a.value(), 7u);
+    EXPECT_EQ(b.value(), 7u);
+}
+
+TEST(StatGroup, LoadValuesRejectsARepeatedName)
+{
+    // The count matches, but "a" twice would leave "b" unrestored.
+    StatGroup g;
+    Scalar a(g, "a", ""), b(g, "b", "");
+    const std::string err = loadError(g, statSection({"a", "a"}));
+    EXPECT_NE(err.find("stat 'a' appears twice"), std::string::npos)
+        << err;
+}
+
+TEST(StatGroup, LoadValuesRejectsNamesOutOfOrder)
+{
+    StatGroup g;
+    Scalar a(g, "a", ""), b(g, "b", ""), c(g, "c", "");
+    const std::string err = loadError(g, statSection({"a", "b", "a"}));
+    EXPECT_NE(err.find("stat 'a' is out of order"), std::string::npos)
+        << err;
+}
+
+TEST(StatGroup, LoadValuesNamesAnUnknownOrMissingStat)
+{
+    StatGroup g;
+    Scalar a(g, "a", ""), c(g, "c", "");
+    EXPECT_NE(loadError(g, statSection({"a", "b"})).find("'b' is unknown"),
+              std::string::npos);
+    EXPECT_NE(loadError(g, statSection({"a", "d"}))
+                  .find("'c' is missing from the checkpoint"),
+              std::string::npos);
 }
 
 TEST(Distribution, CountsMeanMinMax)
@@ -145,39 +250,4 @@ TEST(Distribution, PrintMentionsNameAndCount)
     d.print(os);
     EXPECT_NE(os.str().find("lat"), std::string::npos);
     EXPECT_NE(os.str().find("count=1"), std::string::npos);
-}
-
-TEST(Formula, EvaluatesLazily)
-{
-    StatGroup g;
-    Scalar hits(g, "hits", ""), total(g, "total", "");
-    Formula ratio(g, "ratio", "", [&] {
-        return total.value()
-                   ? static_cast<double>(hits.value()) / total.value()
-                   : 0.0;
-    });
-    EXPECT_DOUBLE_EQ(ratio.value(), 0.0);
-    hits += 3;
-    total += 4;
-    EXPECT_DOUBLE_EQ(ratio.value(), 0.75);
-}
-
-TEST(Formula, FindFormulaByName)
-{
-    StatGroup g;
-    Formula f(g, "f", "", [] { return 1.5; });
-    const Formula *found = g.findFormula("f");
-    ASSERT_NE(found, nullptr);
-    EXPECT_DOUBLE_EQ(found->value(), 1.5);
-    EXPECT_EQ(g.findFormula("nope"), nullptr);
-}
-
-TEST(Formula, SurvivesGroupReset)
-{
-    StatGroup g;
-    Scalar s(g, "s", "");
-    Formula f(g, "f", "", [&] { return s.value() * 2.0; });
-    s += 5;
-    g.resetAll();
-    EXPECT_DOUBLE_EQ(f.value(), 0.0); // reflects the reset scalar
 }

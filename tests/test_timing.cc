@@ -211,7 +211,7 @@ TEST_F(TimingFixture, LoadLatencyHistogramPopulated)
     Cycle t = mem->load(0x400, va, 0, false);
     pump(t, 2000);
     mem->load(0x400, va, t + 2000, false); // L1 hit
-    const auto *d = stats.findScalar("x"); // no such scalar
+    const auto *d = stats.find("x"); // no such counter
     EXPECT_EQ(d, nullptr);
     // The histogram is registered on the group and has samples; find
     // it by dumping (count appears in the text).

@@ -42,7 +42,7 @@ class DeclIndex:
     cycle_funcs: Set[str] = field(default_factory=set)
     unordered_idents: Set[str] = field(default_factory=set)
     unordered_funcs: Set[str] = field(default_factory=set)
-    # path -> list of (line, member) Scalar/Distribution/Formula
+    # path -> list of (line, member) Scalar/Distribution
     # declarations found in that header (consumed by stat-registered).
     stat_members: Dict[str, List] = field(default_factory=dict)
 

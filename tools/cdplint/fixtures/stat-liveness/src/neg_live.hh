@@ -1,7 +1,6 @@
 // Negatives: every update form keeps its stat alive — increment,
 // compound assign, .set/.sample, an update through a by-reference
-// escape — Formula is exempt, and a deliberately-dormant stat can
-// say so.
+// escape — and a deliberately-dormant stat can say so.
 #pragma once
 
 namespace stats {
@@ -15,7 +14,6 @@ class Distribution {
   public:
     void sample(unsigned long v);
 };
-class Formula {};
 }
 
 class BusModel {
@@ -28,7 +26,6 @@ class BusModel {
     stats::Scalar highWater;
     stats::Distribution occupancy;
     stats::Scalar escaped;   // updated through touch(&escaped)
-    stats::Formula utilization; // computed on demand: exempt
     // cdplint: allow(stat-liveness) -- kept for checkpoint-format stability until the v2 format lands
     stats::Scalar legacyPad;
 };

@@ -8,8 +8,7 @@ contract structural:
   - observer code may not include simulator-internal headers (it can
     only observe what is passed to it, never reach into the machine);
   - observer code may not name the Stat types (Scalar, Distribution,
-    Formula, StatGroup) — a tracer that bumps a counter changes the
-    dump;
+    StatGroup) — a tracer that bumps a counter changes the dump;
   - observer code may not call the mutating entry points of the
     memory system / simulator objects.
 
@@ -28,7 +27,7 @@ _FORBIDDEN_INCLUDE_PREFIXES = (
     "sim/", "memsys/", "core/", "cpu/", "mem/", "vm/", "prefetch/",
     "stats/", "runner/", "workloads/")
 
-_STAT_TYPES = {"Scalar", "Distribution", "Formula", "StatGroup"}
+_STAT_TYPES = {"Scalar", "Distribution", "StatGroup"}
 
 # Mutating entry points of simulator-side objects. Names are chosen
 # to be specific to the simulator's interfaces so container methods
@@ -48,7 +47,7 @@ class ObserverPurity:
     doc = """Code under src/obs/ and Tracer member functions are
     strict observers: they may not include simulator-internal
     headers, may not touch Stat members (Scalar/Distribution/
-    Formula/StatGroup), and may not call mutating methods on memsys
+    StatGroup), and may not call mutating methods on memsys
     or simulator objects. Violations would let enabling a trace
     change simulated state or stats."""
 

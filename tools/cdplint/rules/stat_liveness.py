@@ -17,8 +17,7 @@ stream in the program contains an update of that name —
 
 — in a statement the CFG can actually reach (an update strictly
 after an unconditional ``return``/``throw``/``break``/``continue``
-contributes nothing). ``Formula`` members are exempt: they are
-computed on demand. ``reset()`` is not an update — zeroing a counter
+contributes nothing). ``reset()`` is not an update — zeroing a counter
 that nothing increments does not make it meaningful.
 
 Matching is by member *name* across the whole program and ignores

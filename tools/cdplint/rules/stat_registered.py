@@ -1,7 +1,7 @@
 """stat-registered (v2): every stat member is wired to a StatGroup,
 under a name that corresponds to the member.
 
-A default-constructed Scalar/Distribution/Formula silently drops
+A default-constructed Scalar/Distribution silently drops
 every sample and never appears in a dump, so a declared-but-never-
 constructed stat member is a bug. v1 detected this with a substring
 search for `name(...)` anywhere in the paired source; v2 resolves
@@ -25,7 +25,7 @@ from cpputil import match_close, split_top_args
 from engine import Finding, SEV_ERROR, rule
 from lexer import IDENT, PUNCT, STRING
 
-_STAT_TYPES = {"Scalar", "Distribution", "Formula"}
+_STAT_TYPES = {"Scalar", "Distribution"}
 
 
 def _norm(s: str) -> str:
@@ -42,7 +42,7 @@ def _words(s: str) -> list:
 class StatRegistered:
     id = "stat-registered"
     severity = SEV_ERROR
-    doc = """Every Scalar/Distribution/Formula member declared in a
+    doc = """Every Scalar/Distribution member declared in a
     header must be constructed against a StatGroup in a constructor
     initializer list of the paired .cc (or inline in the header),
     and the registration name's literal part must correspond to the

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "snapshot/ckpt_io.hh"
 
@@ -24,15 +25,11 @@ floorPow2(std::uint64_t v)
 
 MarkovPrefetcher::MarkovPrefetcher(std::uint64_t capacity_bytes,
                                    unsigned ways, unsigned fanout,
-                                   StatGroup *stats,
-                                   const std::string &name)
-    : ways(ways), fanout(fanout),
-      observed(stats ? *stats : dummyGroup, name + ".observed",
-               "demand misses observed"),
-      issued(stats ? *stats : dummyGroup, name + ".issued",
-             "markov prefetches issued"),
-      trained(stats ? *stats : dummyGroup, name + ".trained",
-              "STAB transitions recorded")
+                                   StatGroup *stats)
+    : Prefetcher("markov", MissStream::L2, stats,
+                 "markov prefetches issued"),
+      ways(ways), fanout(fanout),
+      trained(group(stats), "markov.trained", "STAB transitions recorded")
 {
     if (fanout > maxPrefetchesPerMiss)
         throw std::invalid_argument(
@@ -110,18 +107,15 @@ MarkovPrefetcher::train(Addr prev, Addr line)
 }
 
 PrefetchList
-MarkovPrefetcher::observeMiss(Addr /*pc*/, Addr vaddr)
+MarkovPrefetcher::predict(Addr /*pc*/, Addr vaddr)
 {
-    ++observed;
     const Addr line = lineAlign(vaddr);
     PrefetchList out;
 
     if (Entry *e = findEntry(line)) {
         e->lruStamp = ++stamp;
-        for (Addr succ : e->successors) {
+        for (Addr succ : e->successors)
             out.push_back(succ);
-            ++issued;
-        }
     }
 
     if (havePrev && prevMissLine != line)
@@ -218,6 +212,10 @@ MarkovPrefetcher::loadState(snap::Reader &r)
         loadEntry(e);
 
     const std::uint64_t nbig = r.u64();
+    // A bounded STAB never consults the map, so no save fills it.
+    if (entryCapacity != 0 && nbig != 0)
+        r.fail("Markov unbounded-STAB entries: " + std::to_string(nbig) +
+               " in a bounded STAB");
     bigTable.clear();
     Addr prevKey = 0;
     for (std::uint64_t i = 0; i < nbig; ++i) {
@@ -225,7 +223,12 @@ MarkovPrefetcher::loadState(snap::Reader &r)
         if (i > 0 && key <= prevKey)
             r.fail("Markov unbounded-STAB keys not strictly increasing");
         prevKey = key;
-        loadEntry(bigTable[key]);
+        Entry &e = bigTable[key];
+        loadEntry(e);
+        if (e.tag != key)
+            r.fail("Markov unbounded-STAB entry tag " +
+                   std::to_string(e.tag) + " differs from its key " +
+                   std::to_string(key));
     }
 }
 

@@ -16,31 +16,24 @@
  *
  * Each bounded entry is costed at (tag + fanout successors) * 4 B =
  * 20 bytes, so a 512 KB STAB holds ~26 K entries organized 16-way.
- * The paper blocks the Markov prefetcher whenever the stride
- * prefetcher issued for the same reference; that gating lives in the
- * memory system, which consults the stride engine first.
+ * It watches the L2 miss stream. The paper blocks the Markov
+ * prefetcher whenever the stride prefetcher issued for the same
+ * reference; that rule lives in the memory system, which runs the
+ * L1-stream prefetchers first.
  */
 
 #ifndef CDP_PREFETCH_MARKOV_PREFETCHER_HH
 #define CDP_PREFETCH_MARKOV_PREFETCHER_HH
 
 #include <cstdint>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "common/types.hh"
 #include "prefetch/prefetcher.hh"
-#include "stats/stat.hh"
 
 namespace cdp
 {
-
-namespace snap
-{
-class Writer;
-class Reader;
-} // namespace snap
 
 /**
  * Bounded or unbounded 1-history Markov prefetcher.
@@ -52,23 +45,18 @@ class MarkovPrefetcher : public Prefetcher
      * @param capacity_bytes STAB budget; 0 means unbounded
      * @param ways set associativity of the bounded STAB
      * @param fanout successors kept (and predicted) per entry
+     * @param stats group to register markov.* in (nullptr: none)
      * @throws std::invalid_argument when @p fanout exceeds
      *         maxPrefetchesPerMiss
      */
     MarkovPrefetcher(std::uint64_t capacity_bytes, unsigned ways = 16,
-                     unsigned fanout = 4, StatGroup *stats = nullptr,
-                     const std::string &name = "markov");
-
-    PrefetchList observeMiss(Addr pc, Addr vaddr) override;
-    const char *name() const override { return "markov"; }
+                     unsigned fanout = 4, StatGroup *stats = nullptr);
 
     /** Entries the bounded STAB can hold (0 when unbounded). */
     std::uint64_t capacityEntries() const { return entryCapacity; }
 
     /** Entries currently trained. */
     std::uint64_t population() const;
-
-    std::uint64_t issuedCount() const { return issued.value(); }
 
     /** Bytes modeled per STAB entry (tag + fanout successors). */
     static constexpr std::uint64_t bytesPerEntry = 20;
@@ -77,10 +65,10 @@ class MarkovPrefetcher : public Prefetcher
      * Serialize the STAB (the unbounded map travels key-sorted so
      * checkpoints are byte-deterministic) and the 1-deep history.
      */
-    void saveState(snap::Writer &w) const;
+    void saveState(snap::Writer &w) const override;
 
     /** Restore; STAB geometry must match. */
-    void loadState(snap::Reader &r);
+    void loadState(snap::Reader &r) override;
 
   private:
     struct Entry
@@ -90,6 +78,8 @@ class MarkovPrefetcher : public Prefetcher
         std::uint64_t lruStamp = 0;
         bool valid = false;
     };
+
+    PrefetchList predict(Addr pc, Addr vaddr) override;
 
     /** Record transition prev -> line in the STAB. */
     void train(Addr prev, Addr line);
@@ -109,10 +99,7 @@ class MarkovPrefetcher : public Prefetcher
     bool havePrev = false;
     std::uint64_t stamp = 0;
 
-    // cdplint: transient(dummyGroup, observed, issued, trained) -- Stats are observational, reset at warm-up end, and travel via the stats dump, not the checkpoint
-    StatGroup dummyGroup;
-    Scalar observed;
-    Scalar issued;
+    // cdplint: transient(trained) -- Stats are observational, reset at warm-up end, and travel via the stats dump, not the checkpoint
     Scalar trained;
 };
 

@@ -5,7 +5,8 @@
  * of Jouppi's stream buffers the paper cites as related work).
  *
  * On every observed miss it prefetches the next @p degree sequential
- * lines. Provided as an alternative baseline to the stride
+ * lines, skipping any line it predicted recently (the "tagged"
+ * variant). Provided as an alternative baseline to the stride
  * prefetcher so the repository can demonstrate *why* the paper
  * builds on a stride baseline: next-line covers pure streams but
  * wastes bandwidth on irregular traffic, while the PC-indexed stride
@@ -16,23 +17,12 @@
 #ifndef CDP_PREFETCH_NEXTLINE_PREFETCHER_HH
 #define CDP_PREFETCH_NEXTLINE_PREFETCHER_HH
 
-#include <cstdint>
-#include <string>
-
-#include "common/line_map.hh"
-#include "common/ring_deque.hh"
 #include "common/types.hh"
 #include "prefetch/prefetcher.hh"
-#include "stats/stat.hh"
+#include "prefetch/recent_issues.hh"
 
 namespace cdp
 {
-
-namespace snap
-{
-class Writer;
-class Reader;
-} // namespace snap
 
 /**
  * Miss-driven sequential (next-line) prefetcher.
@@ -42,43 +32,27 @@ class NextLinePrefetcher : public Prefetcher
   public:
     /**
      * @param degree sequential lines fetched per observed miss
-     * @param tagged when true, suppress re-issuing lines predicted
-     *        recently (classic "tagged" variant)
+     * @param stats group to register nextline.* in (nullptr: none)
      * @throws std::invalid_argument when @p degree exceeds
      *         maxPrefetchesPerMiss
      */
-    explicit NextLinePrefetcher(unsigned degree = 1, bool tagged = true,
-                                StatGroup *stats = nullptr,
-                                const std::string &name = "nextline");
+    explicit NextLinePrefetcher(unsigned degree = 1,
+                                StatGroup *stats = nullptr);
 
-    PrefetchList observeMiss(Addr pc, Addr vaddr) override;
-    const char *name() const override { return "nextline"; }
+    bool recentlyIssued(Addr va) const override { return recent.contains(va); }
 
-    /** Was @p line_va recently predicted (for adjusted stats)? */
-    bool recentlyIssued(Addr line_va) const;
-
-    std::uint64_t issuedCount() const { return issued.value(); }
-
-    /** Serialize the recent-issue ring (the only mutable state). */
-    void saveState(snap::Writer &w) const;
-    void loadState(snap::Reader &r);
+    /** The recent-issue window is the only mutable state. */
+    void saveState(snap::Writer &w) const override { recent.saveState(w); }
+    void loadState(snap::Reader &r) override { recent.loadState(r); }
 
   private:
-    void rememberIssued(Addr line_va);
+    PrefetchList predict(Addr pc, Addr vaddr) override;
 
-    // cdplint: transient(degree, tagged) -- construction-time policy knobs; the restoring side's own config governs
+    // cdplint: transient(degree) -- construction-time policy knob; the restoring side's own config governs
     unsigned degree;
-    bool tagged;
+    RecentIssueWindow recent; //!< the tag filter, and Figure 7's overlap
 
-    static constexpr std::size_t recentCapacity = 4096;
-    RingDeque<Addr> recentFifo{recentCapacity};
-    // cdplint: transient(recentSet) -- index over recentFifo, rebuilt from it in loadState
-    LineSet recentSet{recentCapacity};
-
-    // cdplint: transient(dummyGroup, observed, issued, suppressed) -- Stats are observational, reset at warm-up end, and travel via the stats dump, not the checkpoint
-    StatGroup dummyGroup;
-    Scalar observed;
-    Scalar issued;
+    // cdplint: transient(suppressed) -- Stats are observational, reset at warm-up end, and travel via the stats dump, not the checkpoint
     Scalar suppressed;
 };
 

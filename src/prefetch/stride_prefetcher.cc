@@ -1,6 +1,7 @@
 #include "prefetch/stride_prefetcher.hh"
 
 #include <stdexcept>
+#include <string>
 
 #include "snapshot/ckpt_io.hh"
 
@@ -9,13 +10,10 @@ namespace cdp
 
 StridePrefetcher::StridePrefetcher(unsigned table_entries, unsigned degree,
                                    unsigned conf_threshold,
-                                   StatGroup *stats,
-                                   const std::string &name)
-    : table(table_entries), degree(degree), confThreshold(conf_threshold),
-      observed(stats ? *stats : dummyGroup, name + ".observed",
-               "demand misses observed"),
-      issued(stats ? *stats : dummyGroup, name + ".issued",
-             "stride prefetches issued")
+                                   StatGroup *stats)
+    : Prefetcher("stride", MissStream::L1, stats,
+                 "stride prefetches issued"),
+      table(table_entries), degree(degree), confThreshold(conf_threshold)
 {
     if (degree > maxPrefetchesPerMiss)
         throw std::invalid_argument(
@@ -24,9 +22,8 @@ StridePrefetcher::StridePrefetcher(unsigned table_entries, unsigned degree,
 }
 
 PrefetchList
-StridePrefetcher::observeMiss(Addr pc, Addr vaddr)
+StridePrefetcher::predict(Addr pc, Addr vaddr)
 {
-    ++observed;
     PrefetchList out;
     Entry &e = table[(pc >> 2) % table.size()];
 
@@ -46,7 +43,7 @@ StridePrefetcher::observeMiss(Addr pc, Addr vaddr)
     }
 
     if (new_stride == e.stride) {
-        if (e.confidence < 3)
+        if (e.confidence < maxConfidence)
             ++e.confidence;
     } else {
         if (e.confidence > 0) {
@@ -67,34 +64,10 @@ StridePrefetcher::observeMiss(Addr pc, Addr vaddr)
                 continue; // small stride staying in the same line
             prev_line = line;
             out.push_back(target);
-            rememberIssued(line);
-            ++issued;
+            recent.remember(line);
         }
     }
     return out;
-}
-
-bool
-StridePrefetcher::recentlyIssued(Addr line_va) const
-{
-    return recentSet.contains(lineAlign(line_va));
-}
-
-void
-StridePrefetcher::rememberIssued(Addr line_va)
-{
-    line_va = lineAlign(line_va);
-    if (recentSet.contains(line_va))
-        return;
-    // Evict the oldest line first, so the set never holds more than
-    // the window (the same last-4096-distinct-lines contents as
-    // inserting first and evicting after).
-    if (recentFifo.full()) {
-        recentSet.erase(recentFifo.front());
-        recentFifo.pop_front();
-    }
-    recentSet.emplace(line_va);
-    recentFifo.push_back(line_va);
 }
 
 void
@@ -108,10 +81,7 @@ StridePrefetcher::saveState(snap::Writer &w) const
         w.u64(e.confidence);
         w.boolean(e.valid);
     }
-    // The FIFO is the source of truth; the set is rebuilt on load.
-    w.u64(recentFifo.size());
-    for (std::size_t i = 0; i < recentFifo.size(); ++i)
-        w.u32(recentFifo[i]);
+    recent.saveState(w);
 }
 
 void
@@ -122,24 +92,15 @@ StridePrefetcher::loadState(snap::Reader &r)
         e.pcTag = r.u32();
         e.lastAddr = r.u32();
         e.stride = static_cast<std::int32_t>(r.u32());
-        e.confidence = static_cast<unsigned>(r.u64());
+        const std::uint64_t confidence = r.u64();
+        // The two-bit state machine never leaves 0..3.
+        if (confidence > maxConfidence)
+            r.fail("stride RPT confidence " + std::to_string(confidence) +
+                   " exceeds " + std::to_string(maxConfidence));
+        e.confidence = static_cast<unsigned>(confidence);
         e.valid = r.boolean();
     }
-    const std::uint64_t n = r.u64();
-    if (n > recentCapacity)
-        r.fail("stride recent-issue ring holds " + std::to_string(n) +
-               " entries, capacity is " + std::to_string(recentCapacity));
-    recentFifo.clear();
-    recentSet.clear();
-    for (std::uint64_t i = 0; i < n; ++i) {
-        const Addr a = r.u32();
-        // The ring holds distinct line addresses; anything else
-        // would corrupt the set that indexes it.
-        if (a != lineAlign(a) || !recentSet.emplace(a).second)
-            r.fail("stride recent-issue ring entry " + std::to_string(i) +
-                   " is unaligned or repeated");
-        recentFifo.push_back(a);
-    }
+    recent.loadState(r);
 }
 
 } // namespace cdp

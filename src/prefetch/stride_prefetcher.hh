@@ -16,23 +16,14 @@
 #define CDP_PREFETCH_STRIDE_PREFETCHER_HH
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
-#include "common/line_map.hh"
-#include "common/ring_deque.hh"
 #include "common/types.hh"
 #include "prefetch/prefetcher.hh"
-#include "stats/stat.hh"
+#include "prefetch/recent_issues.hh"
 
 namespace cdp
 {
-
-namespace snap
-{
-class Writer;
-class Reader;
-} // namespace snap
 
 /**
  * Reference-prediction-table stride prefetcher.
@@ -44,34 +35,26 @@ class StridePrefetcher : public Prefetcher
      * @param table_entries RPT entries (direct mapped on PC)
      * @param degree lines prefetched ahead once confident
      * @param conf_threshold confidence needed before prefetching
+     * @param stats group to register stride.* in (nullptr: none)
      * @throws std::invalid_argument when @p degree exceeds
      *         maxPrefetchesPerMiss
      */
     StridePrefetcher(unsigned table_entries = 256, unsigned degree = 2,
                      unsigned conf_threshold = 2,
-                     StatGroup *stats = nullptr,
-                     const std::string &name = "stride");
+                     StatGroup *stats = nullptr);
 
-    PrefetchList observeMiss(Addr pc, Addr vaddr) override;
-    const char *name() const override { return "stride"; }
+    bool recentlyIssued(Addr va) const override { return recent.contains(va); }
 
-    /**
-     * Did the stride prefetcher recently issue a prefetch covering
-     * @p line_va? Used to compute the paper's *adjusted* coverage
-     * and accuracy (Figure 7: "subtracting the content prefetches
-     * that would have also been issued by the stride prefetcher").
-     */
-    bool recentlyIssued(Addr line_va) const;
-
-    std::uint64_t issuedCount() const { return issued.value(); }
-
-    /** Serialize RPT entries + the recent-issue ring. */
-    void saveState(snap::Writer &w) const;
+    /** Serialize RPT entries + the recent-issue window. */
+    void saveState(snap::Writer &w) const override;
 
     /** Restore; table geometry must match. */
-    void loadState(snap::Reader &r);
+    void loadState(snap::Reader &r) override;
 
   private:
+    /** Saturation point of the two-bit confidence counter. */
+    static constexpr unsigned maxConfidence = 3;
+
     struct Entry
     {
         Addr pcTag = 0;
@@ -81,23 +64,13 @@ class StridePrefetcher : public Prefetcher
         bool valid = false;
     };
 
-    void rememberIssued(Addr line_va);
+    PrefetchList predict(Addr pc, Addr vaddr) override;
 
     std::vector<Entry> table;
     // cdplint: transient(degree, confThreshold) -- construction-time policy knobs; the restoring side's own config governs
     unsigned degree;
     unsigned confThreshold;
-
-    /** Ring of recently issued line addresses (adjusted stats). */
-    static constexpr std::size_t recentCapacity = 4096;
-    RingDeque<Addr> recentFifo{recentCapacity};
-    // cdplint: transient(recentSet) -- index over recentFifo, rebuilt from it in loadState
-    LineSet recentSet{recentCapacity};
-
-    // cdplint: transient(dummyGroup, observed, issued) -- Stats are observational, reset at warm-up end, and travel via the stats dump, not the checkpoint
-    StatGroup dummyGroup;
-    Scalar observed;
-    Scalar issued;
+    RecentIssueWindow recent; //!< lines predicted lately (Figure 7)
 };
 
 } // namespace cdp

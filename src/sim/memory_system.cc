@@ -7,6 +7,9 @@
 #include "check/access.hh"
 #include "check/check.hh"
 #include "check/invariants.hh"
+#include "prefetch/markov_prefetcher.hh"
+#include "prefetch/nextline_prefetcher.hh"
+#include "prefetch/stride_prefetcher.hh"
 #include "snapshot/ckpt_io.hh"
 
 namespace cdp
@@ -30,6 +33,29 @@ depthLabel(unsigned d)
            std::to_string(d) + ")";
 }
 
+/**
+ * The miss-stream prefetchers @p cfg switches on, in observation
+ * order: the L1-stream baseline (stride, or next-line per
+ * stride.policy), then Markov. Nothing switched off is built.
+ */
+std::vector<std::unique_ptr<Prefetcher>>
+buildPrefetchers(const SimConfig &cfg, StatGroup *stats)
+{
+    std::vector<std::unique_ptr<Prefetcher>> list;
+    if (cfg.stride.enabled && cfg.stride.policy == "nextline")
+        list.push_back(
+            std::make_unique<NextLinePrefetcher>(cfg.stride.degree, stats));
+    else if (cfg.stride.enabled)
+        list.push_back(std::make_unique<StridePrefetcher>(
+            cfg.stride.tableEntries, cfg.stride.degree,
+            cfg.stride.confThreshold, stats));
+    if (cfg.markov.enabled)
+        list.push_back(std::make_unique<MarkovPrefetcher>(
+            cfg.markov.stabBytes, cfg.markov.ways, cfg.markov.fanout,
+            stats));
+    return list;
+}
+
 } // namespace
 
 MemorySystem::MemorySystem(const SimConfig &cfg, BackingStore &store,
@@ -39,17 +65,7 @@ MemorySystem::MemorySystem(const SimConfig &cfg, BackingStore &store,
       ul2(cfg.mem.l2Bytes, cfg.mem.l2Ways, stats, "ul2"),
       dataTlb(cfg.mem.dtlbEntries, cfg.mem.dtlbWays, stats, "dtlb"),
       walker(page_table, stats, "walker"),
-      stride(cfg.stride.tableEntries, cfg.stride.degree,
-             cfg.stride.confThreshold, stats, "stride"),
-      nextline(cfg.stride.policy == "nextline"
-                   ? std::make_unique<NextLinePrefetcher>(
-                         cfg.stride.degree, true, stats, "nextline")
-                   : nullptr),
-      markov(cfg.markov.enabled
-                 ? std::make_unique<MarkovPrefetcher>(
-                       cfg.markov.stabBytes, cfg.markov.ways,
-                       cfg.markov.fanout, stats, "markov")
-                 : nullptr),
+      prefetchers(buildPrefetchers(cfg, stats)),
       cdp(cfg.cdp, stats, "cdp"),
       adaptive(cfg.adaptive, stats, "adaptive"),
       bus(cfg.mem.busLatency, cfg.mem.busOccupancy, stats, "bus"),
@@ -417,8 +433,11 @@ MemorySystem::issuePrefetch(MemRequest req, Cycle now)
     e.id = req.id;
     e.root = req.root;
     e.hop = req.hop;
-    e.strideOverlap = req.type == ReqType::ContentPrefetch &&
-                      baselineRecentlyIssued(req.lineVa);
+    e.strideOverlap =
+        req.type == ReqType::ContentPrefetch &&
+        std::ranges::any_of(prefetchers, [&](const auto &pf) {
+            return pf->recentlyIssued(req.lineVa);
+        });
     e.widthLine = req.widthLine;
     e.completion = bus.service(now + extra);
     if (!mshrs.allocate(e)) {
@@ -564,20 +583,22 @@ MemorySystem::completeFill(Addr line_pa, Cycle when)
                    false, when);
 }
 
-PrefetchList
-MemorySystem::baselineObserve(Addr pc, Addr vaddr)
-{
-    if (nextline)
-        return nextline->observeMiss(pc, vaddr);
-    return stride.observeMiss(pc, vaddr);
-}
-
 bool
-MemorySystem::baselineRecentlyIssued(Addr line_va) const
+MemorySystem::observe(MissStream stream, Addr pc, Addr vaddr, ReqId root,
+                      Cycle now)
 {
-    if (nextline)
-        return nextline->recentlyIssued(line_va);
-    return stride.recentlyIssued(line_va);
+    bool fired = false;
+    for (const auto &pf : prefetchers) {
+        if (pf->stream() != stream)
+            continue;
+        unsigned hop = 0;
+        for (Addr p : pf->observeMiss(pc, vaddr)) {
+            fired = true;
+            enqueuePrefetch(ReqType::StridePrefetch, p, lineAlign(p), 1,
+                            root, hop++, now);
+        }
+    }
+    return fired;
 }
 
 void
@@ -633,16 +654,8 @@ MemorySystem::load(Addr pc, Addr vaddr, Cycle now, bool /*pointer_load*/)
         trc.record(obs::EventKind::DemandMiss, now, lineAlign(vaddr),
                    demandId, demandId, ReqType::DemandLoad, 0, 0);
 
-    // The baseline prefetcher monitors the L1 miss stream (Fig. 6).
-    bool stride_fired = false;
-    if (cfg.stride.enabled) {
-        unsigned hop = 0;
-        for (Addr p : baselineObserve(pc, vaddr)) {
-            stride_fired = true;
-            enqueuePrefetch(ReqType::StridePrefetch, p, lineAlign(p), 1,
-                            demandId, hop++, now);
-        }
-    }
+    const bool l1_fired =
+        observe(MissStream::L1, pc, vaddr, demandId, now);
 
     Cycle extra = 0;
     const auto pa = translate(vaddr, now, false, &extra);
@@ -731,15 +744,10 @@ MemorySystem::load(Addr pc, Addr vaddr, Cycle now, bool /*pointer_load*/)
 
     ++ctr.l2DemandMisses;
 
-    // The Markov prefetcher observes the L2 miss stream but is
-    // blocked whenever the stride prefetcher fired (Section 5).
-    if (markov && !stride_fired) {
-        unsigned hop = 0;
-        for (Addr p : markov->observeMiss(pc, vaddr)) {
-            enqueuePrefetch(ReqType::StridePrefetch, p, lineAlign(p), 1,
-                            demandId, hop++, now);
-        }
-    }
+    // The one blocking rule (Section 5): an L2-stream prefetcher stays
+    // silent on a miss where an L1-stream prefetcher fired.
+    if (!l1_fired)
+        observe(MissStream::L2, pc, vaddr, demandId, now);
 
     const Cycle comp = bus.service(t0);
     MshrEntry e{};
@@ -774,13 +782,7 @@ MemorySystem::store(Addr pc, Addr vaddr, Cycle now)
         trc.record(obs::EventKind::DemandMiss, now, lineAlign(vaddr),
                    demandId, demandId, ReqType::DemandStore, 0, 0);
 
-    if (cfg.stride.enabled) {
-        unsigned hop = 0;
-        for (Addr p : baselineObserve(pc, vaddr)) {
-            enqueuePrefetch(ReqType::StridePrefetch, p, lineAlign(p), 1,
-                            demandId, hop++, now);
-        }
-    }
+    observe(MissStream::L1, pc, vaddr, demandId, now);
 
     Cycle extra = 0;
     const auto pa = translate(vaddr, now, false, &extra);
@@ -855,13 +857,11 @@ MemorySystem::saveState(snap::Writer &w) const
     dl1.saveState(w);
     ul2.saveState(w);
     dataTlb.saveState(w);
-    stride.saveState(w);
-    w.boolean(nextline != nullptr);
-    if (nextline)
-        nextline->saveState(w);
-    w.boolean(markov != nullptr);
-    if (markov)
-        markov->saveState(w);
+    w.u64(prefetchers.size());
+    for (const auto &pf : prefetchers) {
+        w.str(pf->name());
+        pf->saveState(w);
+    }
     // Base (construction-time) cdp config travels ahead of the live
     // one, which the adaptive controller may have tuned: the
     // restoring side uses the base to decide whether the live config
@@ -894,23 +894,11 @@ MemorySystem::loadState(snap::Reader &r)
     dl1.loadState(r);
     ul2.loadState(r);
     dataTlb.loadState(r);
-    stride.loadState(r);
-    const bool hadNextline = r.boolean();
-    if (hadNextline != (nextline != nullptr))
-        r.fail("baseline-prefetcher mismatch: checkpoint " +
-               std::string(hadNextline ? "has" : "lacks") +
-               " a next-line prefetcher, this simulator " +
-               std::string(nextline ? "has" : "lacks") + " one");
-    if (nextline)
-        nextline->loadState(r);
-    const bool hadMarkov = r.boolean();
-    if (hadMarkov != (markov != nullptr))
-        r.fail("Markov-prefetcher mismatch: checkpoint " +
-               std::string(hadMarkov ? "has" : "lacks") +
-               " one, this simulator " +
-               std::string(markov ? "has" : "lacks") + " one");
-    if (markov)
-        markov->loadState(r);
+    r.expectU64(prefetchers.size(), "miss-stream prefetchers");
+    for (const auto &pf : prefetchers) {
+        r.expectStr(pf->name(), "miss-stream prefetcher");
+        pf->loadState(r);
+    }
     SimConfig saved;
     loadKnobs(r, saved, isCdpKnob);
     const bool sameBase = saved.cdp == cfg.cdp;

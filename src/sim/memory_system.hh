@@ -1,10 +1,10 @@
 /**
  * @file
  * The full memory system of Figure 6: virtually indexed DL1,
- * physically indexed UL2, DTLB with hardware page walker, stride
- * prefetcher on the L1 miss stream, content prefetcher on the UL2
- * fill stream, optional Markov prefetcher on the UL2 miss stream,
- * priority arbiters, and the front-side bus.
+ * physically indexed UL2, DTLB with hardware page walker, the
+ * miss-stream prefetchers (stride or next-line on the L1 miss stream,
+ * optional Markov on the UL2 miss stream), content prefetcher on the
+ * UL2 fill stream, priority arbiters, and the front-side bus.
  *
  * MemorySystem implements CoreMemIf: the core calls load()/store()
  * synchronously and gets back data-ready cycles; background work
@@ -27,6 +27,7 @@
 #include <algorithm>
 #include <memory>
 #include <type_traits>
+#include <vector>
 
 #include "common/rng.hh"
 #include "common/types.hh"
@@ -39,9 +40,7 @@
 #include "memsys/mshr.hh"
 #include "memsys/queued_arbiter.hh"
 #include "obs/tracer.hh"
-#include "prefetch/markov_prefetcher.hh"
-#include "prefetch/nextline_prefetcher.hh"
-#include "prefetch/stride_prefetcher.hh"
+#include "prefetch/prefetcher.hh"
 #include "sim/config.hh"
 #include "sim/event_wheel.hh"
 #include "stats/stat.hh"
@@ -194,8 +193,6 @@ class MemorySystem : public CoreMemIf
      */
     void reconfigureCdp(const CdpConfig &new_cfg);
     const AdaptiveVamController &adaptiveCtl() const { return adaptive; }
-    StridePrefetcher &stridePf() { return stride; }
-    MarkovPrefetcher *markovPf() { return markov.get(); }
     const Bus &frontBus() const { return bus; }
 
     /**
@@ -339,11 +336,14 @@ class MemorySystem : public CoreMemIf
     /** Inject one bad prefetch on an idle bus slot (Section 3.5). */
     void maybeInjectPollution(Cycle now);
 
-    /** Baseline prefetcher predictions for one observed miss. */
-    PrefetchList baselineObserve(Addr pc, Addr vaddr);
-
-    /** Did the baseline prefetcher recently cover @p line_va? */
-    bool baselineRecentlyIssued(Addr line_va) const;
+    /**
+     * Show one demand miss to every listed prefetcher watching
+     * @p stream and queue their predictions, rooted at @p root and
+     * numbered per prefetcher.
+     * @return whether any of them predicted a line
+     */
+    bool observe(MissStream stream, Addr pc, Addr vaddr, ReqId root,
+                 Cycle now);
 
     /** Mutable only through reconfigureCdp(); geometry never changes. */
     SimConfig cfg;
@@ -356,9 +356,8 @@ class MemorySystem : public CoreMemIf
     Tlb dataTlb;
     // cdplint: transient(walker) -- stateless between requests; quiesce guarantees no walk is in flight
     PageWalker walker;
-    StridePrefetcher stride;
-    std::unique_ptr<NextLinePrefetcher> nextline; //!< alt baseline
-    std::unique_ptr<MarkovPrefetcher> markov;
+    /** The miss-stream prefetchers cfg switches on, L1 stream first. */
+    std::vector<std::unique_ptr<Prefetcher>> prefetchers;
     ContentPrefetcher cdp;
     AdaptiveVamController adaptive;
     Bus bus;

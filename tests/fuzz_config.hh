@@ -82,6 +82,9 @@ randomConfig(std::uint64_t seed)
     // exercise the legacy tick-every-cycle scheduler on a quarter of
     // the configurations so the fuzz nets cover both advance paths.
     c.sched.mode = rng.chance(0.25) ? "legacy" : "wheel";
+    // Appended after sched.mode: the next-line baseline on a fifth of
+    // the configurations, so the nets cover both L1-stream prefetchers.
+    c.stride.policy = rng.chance(0.2) ? "nextline" : "stride";
     return c;
 }
 

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
 #include "prefetch/markov_prefetcher.hh"
+#include "snapshot/ckpt_io.hh"
 
 using namespace cdp;
 
@@ -124,6 +128,94 @@ TEST(Markov, StatsCount)
     pf.observeMiss(0, 0x2000);
     pf.observeMiss(0, 0x1000);
     EXPECT_EQ(pf.issuedCount(), 1u);
+}
+
+namespace
+{
+
+/** One serialized STAB entry: tag, LRU stamp, valid, no successors. */
+void
+writeEntry(snap::Writer &w, Addr tag, bool valid)
+{
+    w.u32(tag);
+    w.u64(0);
+    w.boolean(valid);
+    w.u64(0);
+}
+
+/**
+ * Restore a Markov section into @p pf: the header of @p pf's own
+ * geometry (@p slots bounded slots, all invalid), then one unbounded
+ * entry stored under @p key with tag @p tag.
+ * @return the SnapshotError message, or "" when the restore passed
+ */
+std::string
+restoreWithOneUnboundedEntry(MarkovPrefetcher &pf, std::uint64_t slots,
+                             std::uint64_t sets, Addr key, Addr tag)
+{
+    std::ostringstream os;
+    snap::Writer w(os);
+    w.beginSection("MRKV");
+    w.u64(pf.capacityEntries());
+    w.u64(16); // ways
+    w.u64(4);  // fan-out
+    w.u64(sets);
+    w.u64(0);        // LRU stamp
+    w.u32(0);        // previous miss line
+    w.boolean(false); // no previous miss
+    w.u64(slots);
+    for (std::uint64_t i = 0; i < slots; ++i)
+        writeEntry(w, 0, false);
+    w.u64(1);
+    w.u32(key);
+    writeEntry(w, tag, true);
+    w.endSection();
+    w.finish();
+
+    std::istringstream is(os.str());
+    snap::Reader r(is);
+    r.enterSection("MRKV");
+    try {
+        pf.loadState(r);
+    } catch (const snap::SnapshotError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+} // namespace
+
+TEST(Markov, RestoreAcceptsAWellFormedUnboundedEntry)
+{
+    MarkovPrefetcher pf(0);
+    EXPECT_EQ(restoreWithOneUnboundedEntry(pf, 0, 0, 0x1000, 0x1000), "");
+    EXPECT_EQ(pf.population(), 1u);
+}
+
+TEST(Markov, RestoreRefusesUnboundedEntriesInABoundedStab)
+{
+    // No lookup of a bounded STAB consults the unbounded map, yet the
+    // next save would write its entries back: refuse them.
+    MarkovPrefetcher pf(320, 16, 4); // one 16-way set
+    ASSERT_EQ(pf.capacityEntries(), 16u);
+    const std::string err =
+        restoreWithOneUnboundedEntry(pf, 16, 1, 0x1000, 0x1000);
+    EXPECT_NE(err.find("Markov unbounded-STAB entries: 1 in a bounded "
+                       "STAB"),
+              std::string::npos)
+        << err;
+}
+
+TEST(Markov, RestoreRefusesAnEntryTagThatDiffersFromItsKey)
+{
+    // allocEntry always stores an unbounded entry under its own tag.
+    MarkovPrefetcher pf(0);
+    const std::string err =
+        restoreWithOneUnboundedEntry(pf, 0, 0, 0x1000, 0x2000);
+    EXPECT_NE(err.find("Markov unbounded-STAB entry tag 8192 differs "
+                       "from its key 4096"),
+              std::string::npos)
+        << err;
 }
 
 /** Property: a repeating miss cycle is fully predicted once seen. */

@@ -7,7 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
 #include "sim/memory_system.hh"
+#include "snapshot/ckpt_io.hh"
 #include "workloads/heap_allocator.hh"
 
 using namespace cdp;
@@ -425,4 +429,58 @@ TEST_F(MemSysFixture, CountersResetCleanly)
     mem->resetCounters();
     EXPECT_EQ(mem->counters().demandLoads, 0u);
     EXPECT_EQ(mem->counters().l2DemandMisses, 0u);
+}
+
+TEST_F(MemSysFixture, RestoreRefusesADifferentPrefetcherList)
+{
+    // MSYS carries the miss-stream prefetcher count and each name
+    // ahead of its state; a machine built with another list refuses
+    // the checkpoint, naming both sides.
+    build(); // stride only (the default)
+    std::ostringstream os;
+    snap::Writer w(os);
+    w.beginSection("MSYS");
+    mem->saveState(w);
+    w.endSection();
+    w.finish();
+
+    const auto restoreError = [&](const SimConfig &c) -> std::string {
+        StatGroup group;
+        MemorySystem other(c, store, pt, &group);
+        std::istringstream is(os.str());
+        snap::Reader r(is);
+        r.enterSection("MSYS");
+        try {
+            other.loadState(r);
+        } catch (const snap::SnapshotError &e) {
+            return e.what();
+        }
+        return "";
+    };
+
+    EXPECT_EQ(restoreError(cfg), "");
+
+    SimConfig nextline = cfg;
+    nextline.stride.policy = "nextline";
+    EXPECT_NE(restoreError(nextline).find(
+                  "miss-stream prefetcher mismatch: checkpoint has "
+                  "'stride', this simulator has 'nextline'"),
+              std::string::npos)
+        << restoreError(nextline);
+
+    SimConfig markovOnly = cfg;
+    markovOnly.stride.enabled = false;
+    markovOnly.markov.enabled = true;
+    EXPECT_NE(restoreError(markovOnly).find(
+                  "checkpoint has 'stride', this simulator has 'markov'"),
+              std::string::npos)
+        << restoreError(markovOnly);
+
+    SimConfig both = cfg;
+    both.markov.enabled = true;
+    EXPECT_NE(restoreError(both).find(
+                  "miss-stream prefetchers mismatch: checkpoint has 1, "
+                  "this simulator has 2"),
+              std::string::npos)
+        << restoreError(both);
 }

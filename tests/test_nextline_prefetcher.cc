@@ -9,7 +9,7 @@ using namespace cdp;
 
 TEST(NextLine, PredictsSequentialLines)
 {
-    NextLinePrefetcher pf(2, /*tagged=*/false);
+    NextLinePrefetcher pf(2);
     const auto preds = pf.observeMiss(0x400, 0x1008);
     ASSERT_EQ(preds.size(), 2u);
     EXPECT_EQ(preds[0], 0x1040u);
@@ -18,7 +18,7 @@ TEST(NextLine, PredictsSequentialLines)
 
 TEST(NextLine, DegreeOfOne)
 {
-    NextLinePrefetcher pf(1, false);
+    NextLinePrefetcher pf(1);
     const auto preds = pf.observeMiss(0x400, 0x2000);
     ASSERT_EQ(preds.size(), 1u);
     EXPECT_EQ(preds[0], 0x2040u);
@@ -26,13 +26,13 @@ TEST(NextLine, DegreeOfOne)
 
 TEST(NextLine, ZeroDegreeClampedToOne)
 {
-    NextLinePrefetcher pf(0, false);
+    NextLinePrefetcher pf(0);
     EXPECT_EQ(pf.observeMiss(0x400, 0x2000).size(), 1u);
 }
 
 TEST(NextLine, TaggedSuppressesRecentRepeats)
 {
-    NextLinePrefetcher pf(1, /*tagged=*/true);
+    NextLinePrefetcher pf(1);
     EXPECT_EQ(pf.observeMiss(0x400, 0x1000).size(), 1u);
     // Same miss again: the next line was just predicted.
     EXPECT_TRUE(pf.observeMiss(0x400, 0x1010).empty());
@@ -42,7 +42,7 @@ TEST(NextLine, TaggedSuppressesRecentRepeats)
 TEST(NextLine, StreamAdvancesThroughTagFilter)
 {
     // A sequential miss stream keeps producing fresh predictions.
-    NextLinePrefetcher pf(1, true);
+    NextLinePrefetcher pf(1);
     unsigned issued = 0;
     for (Addr a = 0x1000; a < 0x2000; a += lineBytes)
         issued += pf.observeMiss(0x400, a).size();
@@ -51,7 +51,7 @@ TEST(NextLine, StreamAdvancesThroughTagFilter)
 
 TEST(NextLine, RecentlyIssuedTracksPredictions)
 {
-    NextLinePrefetcher pf(2, false);
+    NextLinePrefetcher pf(2);
     pf.observeMiss(0x400, 0x1000);
     EXPECT_TRUE(pf.recentlyIssued(0x1040));
     EXPECT_TRUE(pf.recentlyIssued(0x1080));
@@ -60,7 +60,7 @@ TEST(NextLine, RecentlyIssuedTracksPredictions)
 
 TEST(NextLine, StopsAtAddressSpaceTop)
 {
-    NextLinePrefetcher pf(4, false);
+    NextLinePrefetcher pf(4);
     const auto preds = pf.observeMiss(0x400, 0xffffff80);
     // Only one line exists above 0xffffff80's line.
     EXPECT_LE(preds.size(), 1u);

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <set>
 #include <sstream>
+#include <string>
 
 #include "fuzz_config.hh"
 #include "sim/simulator.hh"
@@ -21,6 +23,20 @@ smallConfig(const std::string &workload = "b2c")
     c.warmupUops = 5'000;
     c.measureUops = 20'000;
     return c;
+}
+
+/** Every counter in @p sim's stats dump: name -> printed value. */
+std::map<std::string, std::string>
+dumpedCounters(Simulator &sim)
+{
+    std::ostringstream os;
+    sim.stats().dump(os);
+    std::map<std::string, std::string> dumped;
+    std::istringstream is(os.str());
+    for (std::string name, value, rest; is >> name >> value;
+         std::getline(is, rest))
+        dumped[name] = value;
+    return dumped;
 }
 
 } // namespace
@@ -122,13 +138,7 @@ TEST(Simulator, EveryCounterTableRowIsInTheDump)
         Simulator sim(c);
         sim.warmup(c.warmupUops);
         const RunResult r = sim.measure(c.measureUops);
-        std::ostringstream os;
-        sim.stats().dump(os);
-        std::map<std::string, std::string> dumped; // name -> value
-        std::istringstream is(os.str());
-        for (std::string name, value, rest; is >> name >> value;
-             std::getline(is, rest))
-            dumped[name] = value;
+        const auto dumped = dumpedCounters(sim);
         const auto dumpOf = [&](const std::string &key) {
             const auto it = dumped.find(key);
             return it == dumped.end() ? "<missing>" : it->second;
@@ -183,5 +193,49 @@ TEST(Simulator, MarkovConfigurationsConstruct)
     Simulator sim(c);
     const RunResult r = sim.run();
     EXPECT_GT(r.ipc, 0.0);
-    EXPECT_NE(sim.memory().markovPf(), nullptr);
+    const auto dumped = dumpedCounters(sim);
+    ASSERT_TRUE(dumped.contains("markov.observed"));
+    EXPECT_GT(std::stoull(dumped.at("markov.observed")), 0u);
+}
+
+TEST(Simulator, OnlyListedPrefetchersAreDumped)
+{
+    // A miss-stream prefetcher the configuration switches off is not
+    // built, so none of its stats reach the dump.
+    struct Case
+    {
+        bool stride;
+        const char *policy;
+        bool markov;
+        std::set<std::string> dumped; //!< stats prefixes expected
+    };
+    const Case cases[] = {
+        {true, "stride", false, {"stride"}},
+        {false, "stride", false, {}},
+        {true, "nextline", false, {"nextline"}},
+        {false, "nextline", false, {}},
+        {true, "stride", true, {"stride", "markov"}},
+        {true, "nextline", true, {"nextline", "markov"}},
+        {false, "stride", true, {"markov"}},
+    };
+    for (const Case &k : cases) {
+        SimConfig c = smallConfig();
+        c.stride.enabled = k.stride;
+        c.stride.policy = k.policy;
+        c.markov.enabled = k.markov;
+        SCOPED_TRACE(std::string("stride.enabled=") +
+                     (k.stride ? "1" : "0") + " stride.policy=" +
+                     k.policy + " markov.enabled=" +
+                     (k.markov ? "1" : "0"));
+        Simulator sim(c);
+        sim.run();
+        std::set<std::string> prefixes;
+        for (const auto &[name, value] : dumpedCounters(sim)) {
+            const std::string prefix = name.substr(0, name.find('.'));
+            if (prefix == "stride" || prefix == "nextline" ||
+                prefix == "markov")
+                prefixes.insert(prefix);
+        }
+        EXPECT_EQ(prefixes, k.dumped);
+    }
 }

@@ -322,18 +322,19 @@ TEST_F(SnapshotCorruption, VersionSkewIsRejectedWithBothVersions)
         << err;
 }
 
-TEST_F(SnapshotCorruption, FormatFiveFileIsRejected)
+TEST_F(SnapshotCorruption, FormatSixFileIsRejected)
 {
-    // Format 5 carries the memory-system counters in MSYS; format 6
-    // moved them into STAT, so a format-5 file fails the version
-    // check instead of misreading both sections.
-    ASSERT_EQ(snap::formatVersion, 6u);
+    // Format 6 carried the stride prefetcher unconditionally and
+    // has/lacks flags for next-line and Markov in MSYS; format 7
+    // carries the count and names of the built prefetchers, so a
+    // format-6 file fails the version check instead of misreading MSYS.
+    ASSERT_EQ(snap::formatVersion, 7u);
     std::string old = bytes;
-    old[8] = 5; // little-endian u32 right after the magic
+    old[8] = 6; // little-endian u32 right after the magic
     const std::string err = restoreError(old);
     EXPECT_NE(err.find("version skew"), std::string::npos) << err;
-    EXPECT_NE(err.find("file has version 5"), std::string::npos) << err;
-    EXPECT_NE(err.find("reads version 6"), std::string::npos) << err;
+    EXPECT_NE(err.find("file has version 6"), std::string::npos) << err;
+    EXPECT_NE(err.find("reads version 7"), std::string::npos) << err;
 }
 
 namespace

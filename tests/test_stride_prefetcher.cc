@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
+#include <string>
 
+#include "prefetch/recent_issues.hh"
 #include "prefetch/stride_prefetcher.hh"
 #include "snapshot/ckpt_io.hh"
 
@@ -154,32 +157,82 @@ INSTANTIATE_TEST_SUITE_P(Strides, StrideSweep,
                          ::testing::Values(64, 128, 256, -64, -128,
                                            192, 1024));
 
+namespace
+{
+
+/**
+ * Restore the bytes @p fill writes (one section) into @p target.
+ * @return the SnapshotError message, or "" when the restore passed
+ */
+template <typename Target, typename Fill>
+std::string
+restoreError(Target &target, Fill fill)
+{
+    std::ostringstream os;
+    snap::Writer w(os);
+    w.beginSection("TEST");
+    fill(w);
+    w.endSection();
+    w.finish();
+    std::istringstream is(os.str());
+    snap::Reader r(is);
+    r.enterSection("TEST");
+    try {
+        target.loadState(r);
+    } catch (const snap::SnapshotError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+} // namespace
+
 TEST(Stride, RestoreRefusesABadRecentRing)
 {
-    // The recent ring indexes a line set: an unaligned or repeated
-    // line in a checkpoint must fail the restore, not corrupt the set.
+    // The recent-issue window (shared by stride and next-line) indexes
+    // a line set: an unaligned or repeated line in a checkpoint must
+    // fail the restore, not corrupt the set.
     for (const Addr bad : {Addr{0x2001}, Addr{0x1000}}) {
-        std::ostringstream os;
-        snap::Writer w(os);
-        w.beginSection("STRD");
-        w.u64(4); // RPT entries
-        for (int e = 0; e < 4; ++e) {
-            w.u32(0);
-            w.u32(0);
-            w.u32(0);
-            w.u64(0);
-            w.boolean(false);
-        }
-        w.u64(2);
-        w.u32(0x1000);
-        w.u32(bad);
-        w.endSection();
-        w.finish();
+        RecentIssueWindow win;
+        const std::string err = restoreError(win, [&](snap::Writer &w) {
+            w.u64(2);
+            w.u32(0x1000);
+            w.u32(bad);
+        });
+        EXPECT_NE(err.find("unaligned or repeated"), std::string::npos)
+            << bad << ": " << err;
+    }
+    // More entries than the window holds: refused before any is read.
+    RecentIssueWindow win;
+    const std::string err = restoreError(win, [](snap::Writer &w) {
+        w.u64(RecentIssueWindow::capacity + 1);
+        for (std::size_t i = 0; i <= RecentIssueWindow::capacity; ++i)
+            w.u32(static_cast<Addr>(i * lineBytes));
+    });
+    EXPECT_NE(err.find("holds 4097 entries, capacity is 4096"),
+              std::string::npos)
+        << err;
+}
 
-        StridePrefetcher pf(4, 2, 2);
-        std::istringstream is(os.str());
-        snap::Reader r(is);
-        r.enterSection("STRD");
-        EXPECT_THROW(pf.loadState(r), snap::SnapshotError) << bad;
+TEST(Stride, RestoreRefusesConfidenceAboveThree)
+{
+    // The two-bit confidence counter saves as a u64: a value no save
+    // can produce (4, or 2^32 + 1, which a narrowing read would take
+    // as 1) is refused, naming the field.
+    for (const std::uint64_t bad :
+         {std::uint64_t{4}, (std::uint64_t{1} << 32) + 1}) {
+        StridePrefetcher pf(1, 2, 2);
+        const std::string err = restoreError(pf, [&](snap::Writer &w) {
+            w.u64(1); // RPT entries
+            w.u32(0x400);
+            w.u32(0x1000);
+            w.u32(0x40);
+            w.u64(bad);
+            w.boolean(true);
+            w.u64(0); // empty recent-issue window
+        });
+        EXPECT_NE(err.find("stride RPT confidence " + std::to_string(bad)),
+                  std::string::npos)
+            << err;
     }
 }

@@ -88,7 +88,7 @@ CFG_MUTATIONS = [
     # dead counter that dumps as a plausible zero.
     ("stat-liveness", "src/prefetch/markov_prefetcher.cc",
      "++trained;", 0,
-     {("src/prefetch/markov_prefetcher.hh", 116)}),
+     {("src/prefetch/markov_prefetcher.hh", 103)}),
 ]
 
 CFG_RULES = sorted({m[0] for m in CFG_MUTATIONS})

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <span>
 #include <stdexcept>
+#include <string>
 
 namespace cdp
 {
@@ -63,35 +64,53 @@ mixedWord(Rng &rng)
 }
 
 /**
+ * Word mask of @p offsets: bit i set skips the word at byte offset 4i.
+ * The pointer slots a builder writes itself all lie in a node's first
+ * 256 bytes.
+ */
+std::uint64_t
+skipMask(std::initializer_list<std::uint32_t> offsets)
+{
+    std::uint64_t mask = 0;
+    for (const std::uint32_t off : offsets) {
+        if (off % 4 != 0 || off >= 256)
+            throw std::invalid_argument(
+                "fillPayload: skip offset " + std::to_string(off) +
+                " is not a word in the first 256 bytes");
+        mask |= std::uint64_t{1} << (off / 4);
+    }
+    return mask;
+}
+
+/**
  * Store next_word() into every 4-byte word at offsets [0, end) of the
- * object at @p va except the @p skip offsets, in ascending order,
- * through one host span per page. A word that straddles a page
- * boundary goes through write32().
+ * object at @p va except those @p skip masks, in ascending order. An
+ * object inside one page is written through one host pointer; a
+ * longer one through one host span per page, with a word that
+ * straddles a page boundary going through write32().
  */
 template <typename NextWord>
 void
 fillWords(HeapAllocator &heap, Addr va, std::uint32_t end,
-          std::initializer_list<std::uint32_t> skip, NextWord &&next_word)
+          std::uint64_t skip, NextWord &&next_word)
 {
-    auto skipped = [&skip](std::uint32_t off) {
-        return std::find(skip.begin(), skip.end(), off) != skip.end();
-    };
     for (std::uint32_t off = 0; off < end;) {
         const std::span<std::uint8_t> host =
             heap.hostSpan(va + off, end - off);
-        const std::uint32_t first = off;
-        const auto size = static_cast<std::uint32_t>(host.size());
-        for (; off < first + (size & ~3u); off += 4) {
-            if (!skipped(off)) {
+        const auto words = static_cast<std::uint32_t>(host.size() / 4);
+        for (std::uint32_t i = 0; i < words; ++i, skip >>= 1) {
+            if ((skip & 1) == 0) {
                 const std::uint32_t w = next_word();
-                std::memcpy(host.data() + (off - first), &w, 4);
+                std::memcpy(host.data() + 4 * i, &w, 4);
             }
         }
-        if (size % 4 != 0) {
+        off += 4 * words;
+        if (host.size() % 4 != 0) {
             // end - off is whole words, so the span was cut at a page
             // end and the word at off straddles it.
-            if (!skipped(off))
+            if ((skip & 1) == 0)
                 heap.write32(va + off, next_word());
+            skip >>= 1;
             off += 4;
         }
     }
@@ -106,7 +125,7 @@ fillPayload(HeapAllocator &heap, Addr node, std::uint32_t bytes,
     // A local copy of the generator stays in registers; the caller's
     // could alias the heap's byte stores and round-trip memory.
     Rng local = rng;
-    fillWords(heap, node, bytes & ~3u, skip_offsets,
+    fillWords(heap, node, bytes & ~3u, skipMask(skip_offsets),
               [&local] { return mixedWord(local); });
     rng = local;
 }
@@ -156,7 +175,15 @@ buildLinkedList(HeapAllocator &heap, std::uint32_t nodes,
         }
     }
 
+    // Link order scatters the nodes over the heap, so each fill would
+    // wait on a host cache miss: touch the node a few links ahead,
+    // whose miss then overlaps this node's draws.
+    constexpr std::uint32_t ahead = 8;
     for (std::uint32_t i = 0; i < nodes; ++i) {
+        if (i + ahead < nodes) {
+            const Addr later = list.nodes[i + ahead];
+            __builtin_prefetch(heap.hostSpan(later, 4).data(), /*rw=*/1);
+        }
         const Addr node = list.nodes[i];
         const Addr next = list.nodes[(i + 1) % nodes]; // circular
         fillPayload(heap, node, node_bytes, {next_offset}, rng);
@@ -310,7 +337,7 @@ buildBTree(HeapAllocator &heap, std::uint32_t leaves,
 
     auto alloc_node = [&]() {
         const Addr n = heap.alloc(t.nodeBytes, 8);
-        fillWords(heap, n, t.nodeBytes, {}, [] { return 0u; });
+        fillWords(heap, n, t.nodeBytes, 0, [] { return 0u; });
         t.nodes.push_back(n);
         return n;
     };
@@ -361,7 +388,7 @@ buildDataRegion(HeapAllocator &heap, std::uint32_t bytes, DataKind kind,
 {
     const Addr base = heap.alloc(bytes, 64);
     Rng local = rng; // register-held, as in fillPayload
-    fillWords(heap, base, bytes & ~3u, {},
+    fillWords(heap, base, bytes & ~3u, 0,
               [&] { return payloadWord(kind, local); });
     rng = local;
     return base;

@@ -18,6 +18,22 @@ const Rng::Threshold coinFlip(0.5);
 /** HashLookupGen: the looked-up key is in the table. */
 const Rng::Threshold keyPresent(0.8);
 
+/**
+ * Refuse a restored walker cursor unless it addresses a whole node of
+ * @p heap: the next block dereferences it, and an address outside the
+ * heap would fail there, mid-run, instead of at restore.
+ */
+void
+checkCursor(snap::Reader &r, const HeapAllocator &heap, Addr cur,
+            std::uint32_t node_bytes, const char *walker)
+{
+    if (!heap.holds(cur, node_bytes))
+        r.fail(std::string(walker) + " cursor " + std::to_string(cur) +
+               " is not a node inside its heap [" +
+               std::to_string(heap.heapBase()) + ", " +
+               std::to_string(heap.heapTop()) + ")");
+}
+
 } // namespace
 
 // --------------------------------------------------------- block base
@@ -97,6 +113,7 @@ ListTraversalGen::loadState(snap::Reader &r)
     loadQueue(r);
     r.rng(rng);
     cur = r.u32();
+    checkCursor(r, heap, cur, list.nodeBytes, name());
 }
 
 // ---------------------------------------------------------------- tree
@@ -157,6 +174,7 @@ TreeSearchGen::loadState(snap::Reader &r)
     loadQueue(r);
     r.rng(rng);
     cur = r.u32();
+    checkCursor(r, heap, cur, tree.nodeBytes, name());
 }
 
 // ---------------------------------------------------------------- hash
@@ -289,6 +307,7 @@ GraphWalkGen::loadState(snap::Reader &r)
     loadQueue(r);
     r.rng(rng);
     cur = r.u32();
+    checkCursor(r, heap, cur, graph.nodeBytes, name());
 }
 
 // --------------------------------------------------------------- btree

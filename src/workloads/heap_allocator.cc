@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 
 #include "snapshot/ckpt_io.hh"
 
@@ -16,6 +17,8 @@ HeapAllocator::HeapAllocator(BackingStore &store, PageTable &page_table,
       top(heap_base), mappedTo(heap_base), alignNoise(align_noise),
       rng(seed)
 {
+    if (pageOffset(heap_base) != 0)
+        throw std::invalid_argument("HeapAllocator: unaligned heap base");
 }
 
 Addr
@@ -40,18 +43,24 @@ HeapAllocator::alloc(Addr bytes, Addr align)
 void
 HeapAllocator::ensureMapped(Addr va, Addr bytes)
 {
-    const Addr first = pageAlign(va);
-    const Addr last = pageAlign(va + bytes - 1);
-    for (Addr page = first;; page += pageBytes) {
-        if (page >= mappedTo || !table.translate(page)) {
-            const Addr frame = frames.allocate();
-            table.map(page, frame);
-        }
-        if (page == last)
-            break;
+    const Addr end = pageAlign(va + bytes - 1) + pageBytes;
+    Addr page = pageAlign(va);
+    const bool grows = va >= base;
+    if (grows) {
+        // [base, mappedTo) is mapped: start at mappedTo, mapping any
+        // gap below va as well, so that stays true.
+        if (end <= mappedTo)
+            return;
+        page = mappedTo;
     }
-    if (last + pageBytes > mappedTo)
-        mappedTo = last + pageBytes;
+    for (; page != end; page += pageBytes) {
+        if (!table.translate(page))
+            table.map(page, frames.allocate());
+    }
+    if (grows) {
+        mappedTo = end;
+        pageHost.resize(pageNumber(mappedTo - base));
+    }
 }
 
 Addr
@@ -64,23 +73,16 @@ HeapAllocator::translateOrThrow(Addr va) const
 }
 
 std::uint32_t
-HeapAllocator::read32(Addr va) const
+HeapAllocator::read32Slow(Addr va) const
 {
     if (pageOffset(va) <= pageBytes - 4) {
-        if (pageAlign(va) == lastVaPage) {
-            std::uint32_t v;
-            std::memcpy(&v, lastHost + pageOffset(va), 4);
-            return v;
-        }
-        const Addr pa = translateOrThrow(va);
-        if (std::uint8_t *host = store.pageDataIfPresent(pa)) {
-            lastVaPage = pageAlign(va);
-            lastHost = host;
-            std::uint32_t v;
-            std::memcpy(&v, host + pageOffset(pa), 4);
-            return v;
-        }
-        return 0; // never-written frame reads as zero; do not memoize
+        std::uint8_t *host = store.pageDataIfPresent(translateOrThrow(va));
+        if (!host)
+            return 0; // never-written frame reads as zero; not entered
+        remember(va, host);
+        std::uint32_t v;
+        std::memcpy(&v, host + pageOffset(va), 4);
+        return v;
     }
     std::uint32_t v = 0;
     for (unsigned i = 0; i < 4; ++i) {
@@ -91,16 +93,34 @@ HeapAllocator::read32(Addr va) const
     return v;
 }
 
-std::span<std::uint8_t>
-HeapAllocator::hostSpan(Addr va, Addr bytes)
+std::uint8_t *
+HeapAllocator::materialize(Addr va)
 {
-    if (pageAlign(va) != lastVaPage) {
-        const Addr pa = translateOrThrow(va);
-        lastVaPage = pageAlign(va);
-        lastHost = store.pageData(pa);
+    std::uint8_t *host = store.pageData(translateOrThrow(va));
+    remember(va, host);
+    return host;
+}
+
+void
+HeapAllocator::remember(Addr va, std::uint8_t *host) const
+{
+    const Addr slot = pageNumber(va) - pageNumber(base);
+    if (slot < pageHost.size())
+        pageHost[slot] = host;
+}
+
+bool
+HeapAllocator::holds(Addr va, Addr bytes) const
+{
+    if (va < base || va >= top || bytes > top - va)
+        return false;
+    const Addr last = pageAlign(va + std::max<Addr>(bytes, 1) - 1);
+    for (Addr page = pageAlign(va);; page += pageBytes) {
+        if (!table.translate(page))
+            return false;
+        if (page == last)
+            return true;
     }
-    return {lastHost + pageOffset(va),
-            std::min(bytes, pageBytes - pageOffset(va))};
 }
 
 void
@@ -141,13 +161,31 @@ void
 HeapAllocator::loadState(snap::Reader &r)
 {
     r.expectU64(base, "heap base");
-    top = r.u32();
-    mappedTo = r.u32();
-    if (top < base || mappedTo < base)
+    const Addr saved_top = r.u32();
+    const Addr saved_end = r.u32();
+    if (saved_top < base || saved_end < base)
         r.fail("heap bump pointer below the heap base");
+    if (saved_top > saved_end)
+        r.fail("heap top " + std::to_string(saved_top) +
+               " above the heap mapped end " +
+               std::to_string(saved_end));
+    if (pageOffset(saved_end) != 0)
+        r.fail("heap mapped end " + std::to_string(saved_end) +
+               " not page-aligned");
+    // The page map is sized from the mapped end: bound it by what the
+    // (already restored) page table maps before allocating it.
+    const Addr pages = pageNumber(saved_end - base);
+    if (pages > table.mappedPages())
+        r.fail("heap mapped end " + std::to_string(saved_end) +
+               " spans " + std::to_string(pages) +
+               " pages, more than the " +
+               std::to_string(table.mappedPages()) +
+               " the page table maps");
+    top = saved_top;
+    mappedTo = saved_end;
+    // Frames may have moved or gone with the backing store's restore.
+    pageHost.assign(pages, nullptr);
     r.rng(rng);
-    lastVaPage = ~Addr{0};
-    lastHost = nullptr;
 }
 
 } // namespace cdp

@@ -15,15 +15,21 @@
  * The allocator is also the workloads' window into simulated memory:
  * read32/write32 translate through the page table and hit the
  * BackingStore, so structures built here are real bytes the content
- * prefetcher later scans.
+ * prefetcher later scans. A dense page map from each heap page to its
+ * host frame makes that translation one indexed load once a page has
+ * been touched (DESIGN.md §12).
  */
 
 #ifndef CDP_WORKLOADS_HEAP_ALLOCATOR_HH
 #define CDP_WORKLOADS_HEAP_ALLOCATOR_HH
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <span>
+#include <vector>
 
+#include "check/check.hh"
 #include "common/rng.hh"
 #include "common/types.hh"
 #include "mem/backing_store.hh"
@@ -49,6 +55,7 @@ class HeapAllocator
 {
   public:
     /**
+     * @param heap_base first heap address; must be page-aligned
      * @param align_noise fraction of allocations aligned to 2 bytes
      *        instead of the requested alignment
      */
@@ -64,11 +71,27 @@ class HeapAllocator
      */
     Addr alloc(Addr bytes, Addr align = 4);
 
-    /** Map every page of [va, va+bytes) (idempotent). */
+    /**
+     * Map every page of [va, va+bytes) (idempotent). Every page of
+     * [heapBase(), mappedTo) is mapped already, so only pages outside
+     * it are looked up; a gap between mappedTo and @p va is mapped
+     * too, which keeps that so.
+     */
     void ensureMapped(Addr va, Addr bytes);
 
     /** Read a 32-bit little-endian word at virtual address @p va. */
-    std::uint32_t read32(Addr va) const;
+    std::uint32_t
+    read32(Addr va) const
+    {
+        if (pageOffset(va) <= pageBytes - 4) {
+            if (const std::uint8_t *host = mappedFrame(va)) {
+                std::uint32_t v;
+                std::memcpy(&v, host + pageOffset(va), 4);
+                return v;
+            }
+        }
+        return read32Slow(va);
+    }
 
     /** Write a 32-bit little-endian word at virtual address @p va. */
     void write32(Addr va, std::uint32_t v);
@@ -79,7 +102,22 @@ class HeapAllocator
      * nodes and regions through these spans, one translation per page
      * instead of one per word. Valid until loadState().
      */
-    std::span<std::uint8_t> hostSpan(Addr va, Addr bytes);
+    std::span<std::uint8_t>
+    hostSpan(Addr va, Addr bytes)
+    {
+        std::uint8_t *host = mappedFrame(va);
+        if (!host)
+            host = materialize(va);
+        return {host + pageOffset(va),
+                std::min(bytes, pageBytes - pageOffset(va))};
+    }
+
+    /**
+     * True when [va, va + bytes) lies inside [heapBase(), heapTop())
+     * and each of its pages is mapped: the test a restored cursor
+     * passes before anything dereferences it.
+     */
+    bool holds(Addr va, Addr bytes) const;
 
     /** Read one byte. */
     std::uint8_t read8(Addr va) const;
@@ -102,17 +140,43 @@ class HeapAllocator
   private:
     Addr translateOrThrow(Addr va) const;
 
-    // cdplint: transient(lastVaPage, lastHost) -- one-entry VA-page -> host-frame memo; mappings are never unmapped and frames never move, so only loadState() resets it
     /**
-     * Translation memo: the last heap page touched by an in-page
-     * read32 or by a hostSpan, as a direct host pointer into the
-     * backing store's frame. Collapses translate + frame lookup for the
-     * pointer-chasing workloads that hammer one page at a time.
-     * Valid because the page table has no unmap and frames are
-     * stable until loadState(), which resets the memo.
+     * The host frame of heap page @p va from the page map, or nullptr
+     * when @p va lies outside [base, mappedTo) or its page has not
+     * been touched through the map yet. Checked builds compare every
+     * hit with a page-table walk.
      */
-    mutable Addr lastVaPage = ~Addr{0};
-    mutable std::uint8_t *lastHost = nullptr;
+    std::uint8_t *
+    mappedFrame(Addr va) const
+    {
+        const Addr slot = pageNumber(va) - pageNumber(base);
+        if (slot >= pageHost.size())
+            return nullptr;
+        std::uint8_t *host = pageHost[slot];
+        CDP_CHECK(!host ||
+                  host == store.pageDataIfPresent(translateOrThrow(va)));
+        return host;
+    }
+
+    /** read32() off the map: a walk, a page-crossing word, or zero. */
+    std::uint32_t read32Slow(Addr va) const;
+
+    /** hostSpan() off the map: walk, materialize the frame, record it. */
+    std::uint8_t *materialize(Addr va);
+
+    /** Enter @p host as the frame of @p va's page, if the map covers it. */
+    void remember(Addr va, std::uint8_t *host) const;
+
+    // cdplint: transient(pageHost) -- dense page map over [base, mappedTo), filled on first touch; mappings are never unmapped and frames never move, and loadState() rebuilds it empty
+    /**
+     * Page map: slot i holds the host frame of heap page base + i *
+     * pageBytes, or nullptr until a read32, write32 or hostSpan first
+     * reaches that page. ensureMapped() and loadState() size it to
+     * [base, mappedTo), 8 bytes a page (20 KB for a 10 MB heap). A
+     * page whose frame was never written stays out, so it keeps
+     * reading as zero without materializing a frame.
+     */
+    mutable std::vector<std::uint8_t *> pageHost;
 
     // cdplint: transient(store, table, frames) -- wiring references rebuilt by the restoring harness, not state
     BackingStore &store;

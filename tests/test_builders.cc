@@ -168,6 +168,27 @@ TEST_F(BuildFixture, FillPayloadSkipsPointerSlots)
     EXPECT_EQ(heap.read32(node + 16), 0xfeedfaceu);
 }
 
+TEST_F(BuildFixture, FillPayloadRefusesSkipOffsetsOffTheWordMask)
+{
+    // Skips are a 64-bit word mask over the node's first 256 bytes.
+    const Addr node = heap.alloc(512, 4);
+    EXPECT_THROW(fillPayload(heap, node, 512, {6}, rng),
+                 std::invalid_argument);
+    EXPECT_THROW(fillPayload(heap, node, 512, {256}, rng),
+                 std::invalid_argument);
+    fillPayload(heap, node, 512, {252}, rng);
+}
+
+TEST_F(BuildFixture, FillPayloadAcrossAPageEndSkipsTheStraddlingWord)
+{
+    heap.alloc(pageBytes - 6, 2); // the next node straddles a page end
+    const Addr node = heap.alloc(64, 2);
+    ASSERT_EQ(pageOffset(node + 6), 0u);
+    heap.write32(node + 4, 0x5eedf00d);
+    fillPayload(heap, node, 64, {4}, rng);
+    EXPECT_EQ(heap.read32(node + 4), 0x5eedf00du);
+}
+
 /** Property: lists of many shapes are always complete cycles. */
 class ListShapes
     : public ::testing::TestWithParam<

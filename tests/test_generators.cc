@@ -10,10 +10,12 @@
 #include <limits>
 #include <map>
 #include <span>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "sim/simulator.hh"
+#include "snapshot/ckpt_io.hh"
 #include "workloads/generators.hh"
 #include "workloads/suite.hh"
 
@@ -371,4 +373,85 @@ TEST(RngExact, ThresholdEqualsUnitCompare)
         for (int i = 0; i < 1000; ++i)
             ASSERT_EQ(a.chance(t), b.chance(p)) << "p " << p;
     }
+}
+
+namespace
+{
+
+/**
+ * Restore @p gen from a walker section (empty queue, an RNG, then the
+ * cursor @p cur).
+ * @return the SnapshotError message, or "" when the restore passed
+ */
+std::string
+restoreCursor(UopSource &gen, Addr cur)
+{
+    std::ostringstream os;
+    snap::Writer w(os);
+    w.beginSection("WKLD");
+    w.u64(0);
+    w.rng(Rng(1));
+    w.u32(cur);
+    w.endSection();
+    w.finish();
+
+    std::istringstream is(os.str());
+    snap::Reader r(is);
+    r.enterSection("WKLD");
+    try {
+        gen.loadState(r);
+    } catch (const snap::SnapshotError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+/**
+ * A restored walker accepts a cursor on one of its nodes and refuses,
+ * naming itself, 0 and cursors outside [heapBase, heapTop) -- which
+ * would otherwise fail mid-run when the next block dereferences them.
+ */
+void
+expectCursorChecked(UopSource &gen, const HeapAllocator &heap, Addr node,
+                    std::uint32_t node_bytes)
+{
+    EXPECT_EQ(restoreCursor(gen, node), "");
+    for (const Addr bad :
+         {Addr{0}, heap.heapBase() - 4, heap.heapTop(),
+          heap.heapTop() - node_bytes + 4, Addr{0xbf000000}}) {
+        const std::string msg = restoreCursor(gen, bad);
+        EXPECT_NE(msg.find(gen.name()), std::string::npos)
+            << std::hex << bad << ": " << msg;
+        EXPECT_NE(msg.find("cursor"), std::string::npos) << msg;
+    }
+    // The accepted cursor still walks.
+    EXPECT_EQ(restoreCursor(gen, node), "");
+    for (int i = 0; i < 50; ++i)
+        gen.next();
+}
+
+} // namespace
+
+TEST_F(GenFixture, ListWalkerRestoreRefusesACursorOutsideTheHeap)
+{
+    BuiltList list = buildLinkedList(heap, 32, 64, 8, 1, rng);
+    const Addr node = list.nodes[7];
+    ListTraversalGen gen(heap, std::move(list), 0x1000, 0, {}, 5);
+    expectCursorChecked(gen, heap, node, 64);
+}
+
+TEST_F(GenFixture, TreeWalkerRestoreRefusesACursorOutsideTheHeap)
+{
+    BuiltTree tree = buildBinaryTree(heap, 32, 48, rng);
+    const Addr node = tree.nodes[5];
+    TreeSearchGen gen(heap, std::move(tree), 0x2000, 4, {}, 5);
+    expectCursorChecked(gen, heap, node, 48);
+}
+
+TEST_F(GenFixture, GraphWalkerRestoreRefusesACursorOutsideTheHeap)
+{
+    BuiltGraph graph = buildGraph(heap, 32, 32, 4, rng);
+    const Addr node = graph.nodes[9];
+    GraphWalkGen gen(heap, std::move(graph), 0x7000, 4, {}, 5);
+    expectCursorChecked(gen, heap, node, 32);
 }

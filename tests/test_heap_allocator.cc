@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "snapshot/ckpt_io.hh"
 #include "workloads/heap_allocator.hh"
 
 using namespace cdp;
@@ -136,4 +142,234 @@ TEST(HeapAlignmentNoise, ZeroNoiseKeepsEverythingAligned)
     HeapAllocator heap(store, pt, frames, defaultHeapBase, 0.0, 1);
     for (int i = 0; i < 1000; ++i)
         EXPECT_EQ(heap.alloc(6, 4) % 4, 0u);
+}
+
+TEST(HeapAllocator, RefusesAnUnalignedBase)
+{
+    BackingStore store;
+    FrameAllocator frames{0, 64, true, 3};
+    PageTable pt{store, frames};
+    EXPECT_THROW(HeapAllocator(store, pt, frames, defaultHeapBase + 4),
+                 std::invalid_argument);
+}
+
+namespace
+{
+
+/** One simulated memory with a main heap and a low globals heap. */
+struct Machine
+{
+    BackingStore store;
+    FrameAllocator frames{0, 8192, true, 3};
+    PageTable pt{store, frames};
+    HeapAllocator heap{store, pt, frames, defaultHeapBase, 0.3, 11};
+    HeapAllocator globals{store, pt, frames, 0x00200000, 0.0, 12};
+
+    /** The word at @p va read byte by byte through the page table. */
+    std::optional<std::uint32_t>
+    walk32(Addr va) const
+    {
+        std::uint32_t v = 0;
+        for (Addr i = 0; i < 4; ++i) {
+            const auto pa = pt.translate(va + i);
+            if (!pa)
+                return std::nullopt;
+            v |= std::uint32_t{store.read8(*pa)} << (8 * i);
+        }
+        return v;
+    }
+
+    void
+    save(std::ostream &os) const
+    {
+        snap::Writer w(os);
+        w.beginSection("STOR");
+        store.saveState(w);
+        w.endSection();
+        w.beginSection("FRAM");
+        frames.saveState(w);
+        w.endSection();
+        w.beginSection("PGTB");
+        pt.saveState(w);
+        w.endSection();
+        w.beginSection("HEAP");
+        heap.saveState(w);
+        globals.saveState(w);
+        w.endSection();
+        w.finish();
+    }
+
+    void
+    restore(std::istream &is)
+    {
+        snap::Reader r(is);
+        r.enterSection("STOR");
+        store.loadState(r);
+        r.leaveSection();
+        r.enterSection("FRAM");
+        frames.loadState(r);
+        r.leaveSection();
+        r.enterSection("PGTB");
+        pt.loadState(r);
+        r.leaveSection();
+        r.enterSection("HEAP");
+        heap.loadState(r);
+        globals.loadState(r);
+        r.leaveSection();
+        r.finish();
+    }
+};
+
+/** Allocate a few hundred odd-sized objects and write some words. */
+void
+populate(HeapAllocator &h, Rng &rng, unsigned objects)
+{
+    for (unsigned i = 0; i < objects; ++i) {
+        const Addr va = h.alloc(4 + 4 * rng.below(40), 4);
+        if (rng.chance(0.7))
+            h.write32(va, rng.next32());
+    }
+    // Mapped pages whose frames are never written.
+    h.alloc(3 * pageBytes, pageBytes);
+}
+
+/**
+ * Read random words of @p h around its heap -- below the base,
+ * straddling page ends, at and past the mapped end, on never-written
+ * frames -- and require each to match a page-table walk: the same
+ * value, or a throw where the walk finds no mapping.
+ */
+void
+expectReadsAgree(const Machine &m, const HeapAllocator &h, Rng &rng)
+{
+    const Addr lo = h.heapBase() - 2 * pageBytes;
+    const Addr span = h.heapTop() - lo + 4 * pageBytes;
+    std::vector<Addr> probes;
+    for (int i = 0; i < 4000; ++i)
+        probes.push_back(lo + static_cast<Addr>(rng.below(span)));
+    for (Addr page = h.heapBase(); page < h.heapTop() + 2 * pageBytes;
+         page += pageBytes) {
+        probes.push_back(page - 2); // straddles a page end
+        probes.push_back(page - 4);
+        probes.push_back(page);
+    }
+    probes.push_back(h.heapBase() - 4);
+    for (int pass = 0; pass < 2; ++pass) { // fill, then hit the map
+        for (const Addr va : probes) {
+            const auto want = m.walk32(va);
+            if (want)
+                EXPECT_EQ(h.read32(va), *want) << std::hex << va;
+            else
+                EXPECT_THROW(h.read32(va), std::runtime_error)
+                    << std::hex << va;
+        }
+    }
+}
+
+} // namespace
+
+TEST(HeapAllocator, DenseMapAgreesWithPageTable)
+{
+    Machine a;
+    Rng rng(5);
+    populate(a.heap, rng, 600);
+    populate(a.globals, rng, 200);
+
+    // Never-written frames read as zero and stay unmaterialized.
+    const std::size_t touched = a.store.framesTouched();
+    const Addr fresh = a.heap.heapTop() - pageBytes;
+    EXPECT_EQ(a.heap.read32(fresh), 0u);
+    EXPECT_EQ(a.heap.read32(fresh), 0u);
+    EXPECT_EQ(a.store.framesTouched(), touched);
+    a.heap.write32(fresh, 0x600dbeefu);
+    EXPECT_EQ(a.heap.read32(fresh), 0x600dbeefu);
+
+    expectReadsAgree(a, a.heap, rng);
+    expectReadsAgree(a, a.globals, rng);
+
+    // A second machine maps its pages to other frames (globals first,
+    // different sizes) and fills its maps; restoring the first
+    // machine's image must leave no stale frame behind.
+    Machine b;
+    Rng other(99);
+    populate(b.globals, other, 300);
+    populate(b.heap, other, 900);
+    expectReadsAgree(b, b.heap, other);
+    expectReadsAgree(b, b.globals, other);
+
+    std::stringstream image;
+    a.save(image);
+    b.restore(image);
+    EXPECT_EQ(b.heap.heapTop(), a.heap.heapTop());
+    expectReadsAgree(b, b.heap, rng);
+    expectReadsAgree(b, b.globals, rng);
+    for (Addr va = a.heap.heapBase(); va + 4 <= a.heap.heapTop();
+         va += 52)
+        EXPECT_EQ(b.heap.read32(va), a.heap.read32(va)) << std::hex << va;
+}
+
+namespace
+{
+
+/**
+ * Restore @p heap from a HEAP section holding @p top and @p mapped_to.
+ * @return the SnapshotError message, or "" when the restore passed
+ */
+std::string
+restoreHeap(HeapAllocator &heap, Addr top, Addr mapped_to)
+{
+    std::ostringstream os;
+    snap::Writer w(os);
+    w.beginSection("HEAP");
+    w.u64(heap.heapBase());
+    w.u32(top);
+    w.u32(mapped_to);
+    w.rng(Rng(1));
+    w.endSection();
+    w.finish();
+
+    std::istringstream is(os.str());
+    snap::Reader r(is);
+    r.enterSection("HEAP");
+    try {
+        heap.loadState(r);
+    } catch (const snap::SnapshotError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+} // namespace
+
+TEST_F(HeapFixture, RestoreRefusesAHeapSectionOutsideTheMappedPages)
+{
+    heap.alloc(5 * pageBytes + 100);
+    const Addr top = heap.heapTop();
+    const Addr end = defaultHeapBase + 6 * pageBytes;
+    ASSERT_EQ(pt.mappedPages(), 6u);
+
+    EXPECT_EQ(restoreHeap(heap, top, end), "");
+    EXPECT_EQ(restoreHeap(heap, end, end), "");
+
+    const std::string above = restoreHeap(heap, end + 4, end);
+    EXPECT_NE(above.find("heap top"), std::string::npos) << above;
+    const std::string unaligned = restoreHeap(heap, top, end + 8);
+    EXPECT_NE(unaligned.find("heap mapped end"), std::string::npos)
+        << unaligned;
+    EXPECT_NE(unaligned.find("page-aligned"), std::string::npos)
+        << unaligned;
+    // A hostile end would size the page map: ~2^20 pages here.
+    const std::string huge =
+        restoreHeap(heap, top, ~Addr{0} - (pageBytes - 1));
+    EXPECT_NE(huge.find("heap mapped end"), std::string::npos) << huge;
+    EXPECT_NE(huge.find("page table maps"), std::string::npos) << huge;
+    const std::string one_over =
+        restoreHeap(heap, top, end + pageBytes);
+    EXPECT_NE(one_over.find("page table maps"), std::string::npos)
+        << one_over;
+
+    // The heap still reads through a map sized by the last good restore.
+    EXPECT_EQ(restoreHeap(heap, top, end), "");
+    heap.write32(defaultHeapBase + 8, 7);
+    EXPECT_EQ(heap.read32(defaultHeapBase + 8), 7u);
 }

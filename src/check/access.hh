@@ -51,7 +51,6 @@ struct Access
     {
         return m.entries;
     }
-    static unsigned capacity(const MshrFile &m) { return m.capacity; }
 
     // --- QueuedArbiter ----------------------------------------------
     static const RingDeque<MemRequest> &

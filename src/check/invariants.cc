@@ -119,7 +119,7 @@ std::string
 dumpMshr(const MshrFile &m, const char *who)
 {
     std::ostringstream os;
-    os << who << ": " << m.size() << "/" << Access::capacity(m)
+    os << who << ": " << m.size() << "/" << m.capacity()
        << " entries\n";
     for (const auto &[key, e] : sortedMshrEntries(m)) {
         os << "  [0x" << std::hex << key << std::dec << "] " << e
@@ -132,7 +132,7 @@ void
 auditMshr(const MshrFile &m, unsigned content_depth_max,
           [[maybe_unused]] const char *who)
 {
-    CDP_CHECK_MSG(Access::entries(m).size() <= Access::capacity(m),
+    CDP_CHECK_MSG(Access::entries(m).size() <= m.capacity(),
                   dumpMshr(m, who));
     for (const auto &[key, e] : sortedMshrEntries(m)) {
         CDP_CHECK_MSG(key == lineAlign(key), dumpMshr(m, who));

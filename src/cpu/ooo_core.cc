@@ -4,11 +4,29 @@
 #include <bit>
 #include <limits>
 #include <string>
+#include <utility>
 
 #include "snapshot/ckpt_io.hh"
 
 namespace cdp
 {
+
+std::string
+uopFieldError(std::uint8_t type, std::int8_t src0, std::int8_t src1,
+              std::int8_t dst)
+{
+    if (type > static_cast<std::uint8_t>(UopType::Nop))
+        return "unknown uop type " + std::to_string(type);
+    const std::pair<const char *, std::int8_t> regs[] = {
+        {"src0", src0}, {"src1", src1}, {"dst", dst}};
+    for (const auto &[field, reg] : regs) {
+        if (reg != noReg && (reg < 0 || reg >= static_cast<int>(numRegs)))
+            return std::string("uop ") + field + " register " +
+                   std::to_string(static_cast<std::uint8_t>(reg)) +
+                   " outside the architectural file";
+    }
+    return {};
+}
 
 namespace snap
 {
@@ -26,35 +44,20 @@ saveUop(Writer &w, const Uop &u)
     w.boolean(u.pointerLoad);
 }
 
-namespace
-{
-
-std::int8_t
-loadRegId(Reader &r)
-{
-    const std::uint8_t raw = r.u8();
-    const auto reg = static_cast<std::int8_t>(raw);
-    if (reg != noReg && (reg < 0 || reg >= static_cast<int>(numRegs)))
-        r.fail("uop register id " + std::to_string(raw) +
-               " outside the architectural file");
-    return reg;
-}
-
-} // namespace
-
 Uop
 loadUop(Reader &r)
 {
-    Uop u;
     const std::uint8_t type = r.u8();
-    if (type > static_cast<std::uint8_t>(UopType::Nop))
-        r.fail("unknown uop type " + std::to_string(type));
-    u.type = static_cast<UopType>(type);
+    Uop u;
     u.pc = r.u32();
     u.vaddr = r.u32();
-    u.src0 = loadRegId(r);
-    u.src1 = loadRegId(r);
-    u.dst = loadRegId(r);
+    u.src0 = static_cast<std::int8_t>(r.u8());
+    u.src1 = static_cast<std::int8_t>(r.u8());
+    u.dst = static_cast<std::int8_t>(r.u8());
+    if (const std::string bad = uopFieldError(type, u.src0, u.src1, u.dst);
+        !bad.empty())
+        r.fail(bad);
+    u.type = static_cast<UopType>(type);
     u.taken = r.boolean();
     u.pointerLoad = r.boolean();
     return u;

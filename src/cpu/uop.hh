@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <span>
+#include <string>
 
 #include "common/types.hh"
 
@@ -63,6 +64,16 @@ struct Uop
     bool taken = false;      //!< actual branch outcome (Branch only)
     bool pointerLoad = false; //!< load of a recurrence pointer (stats)
 };
+
+/**
+ * The rule every uop reader (checkpoint restore, trace replay)
+ * enforces on raw fields before building a Uop: the type names a
+ * UopType and each register is noReg or below numRegs. The core
+ * indexes its tables with these fields unchecked.
+ * @return empty when valid, else a message naming the bad field
+ */
+std::string uopFieldError(std::uint8_t type, std::int8_t src0,
+                          std::int8_t src1, std::int8_t dst);
 
 namespace snap
 {

@@ -7,7 +7,7 @@ namespace cdp
 
 MshrFile::MshrFile(unsigned capacity, StatGroup *stats,
                    const std::string &name)
-    : capacity(capacity), entries(capacity),
+    : entryLimit(capacity), entries(capacity),
       allocations(stats ? *stats : dummyGroup, name + ".allocations",
                   "MSHR entries allocated"),
       promotions(stats ? *stats : dummyGroup, name + ".promotions",
@@ -34,7 +34,7 @@ MshrFile::allocate(const MshrEntry &e)
 {
     CDP_CHECK(e.linePa == lineAlign(e.linePa));
     CDP_CHECK(!(e.promoted && isPrefetch(e.type)));
-    if (entries.size() >= capacity) {
+    if (entries.size() >= entryLimit) {
         ++rejections;
         return false;
     }

@@ -74,8 +74,9 @@ class MshrFile
     explicit MshrFile(unsigned capacity, StatGroup *stats = nullptr,
                       const std::string &name = "mshr");
 
-    bool full() const { return entries.size() >= capacity; }
+    bool full() const { return entries.size() >= entryLimit; }
     std::size_t size() const { return entries.size(); }
+    unsigned capacity() const { return entryLimit; }
 
     /** Find the in-flight fill for @p line_pa, if any. */
     MshrEntry *find(Addr line_pa);
@@ -105,7 +106,7 @@ class MshrFile
   private:
     friend struct check::Access;
 
-    unsigned capacity;
+    unsigned entryLimit;
     LineMap<MshrEntry> entries;
 
     StatGroup dummyGroup;

@@ -4,54 +4,13 @@
 #include <cstdio>
 #include <stdexcept>
 
+#include "common/file_io.hh"
+
 namespace cdp::obs
 {
 
 namespace
 {
-
-void
-writeU32(std::FILE *f, std::uint32_t v)
-{
-    if (std::fwrite(&v, sizeof(v), 1, f) != 1)
-        throw std::runtime_error("trace_io: short write");
-}
-
-void
-writeU64(std::FILE *f, std::uint64_t v)
-{
-    if (std::fwrite(&v, sizeof(v), 1, f) != 1)
-        throw std::runtime_error("trace_io: short write");
-}
-
-std::uint32_t
-readU32(std::FILE *f)
-{
-    std::uint32_t v = 0;
-    if (std::fread(&v, sizeof(v), 1, f) != 1)
-        throw std::runtime_error("trace_io: short read");
-    return v;
-}
-
-std::uint64_t
-readU64(std::FILE *f)
-{
-    std::uint64_t v = 0;
-    if (std::fread(&v, sizeof(v), 1, f) != 1)
-        throw std::runtime_error("trace_io: short read");
-    return v;
-}
-
-/** RAII fclose so error paths cannot leak the handle. */
-struct FileCloser
-{
-    std::FILE *f;
-    ~FileCloser()
-    {
-        if (f)
-            std::fclose(f);
-    }
-};
 
 /** Escape for JSON string values (our names are ASCII). */
 std::string
@@ -125,46 +84,38 @@ writeBinaryTrace(const std::string &path,
                  const std::vector<TraceEvent> &events,
                  std::uint64_t dropped, const std::string &tag)
 {
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    if (!f)
-        throw std::runtime_error("trace_io: cannot open for write: " +
-                                 path);
-    FileCloser closer{f};
-    writeU32(f, traceEventMagic);
-    writeU32(f, traceEventVersion);
-    writeU64(f, events.size());
-    writeU64(f, dropped);
-    writeU32(f, static_cast<std::uint32_t>(tag.size()));
-    if (!tag.empty() &&
-        std::fwrite(tag.data(), 1, tag.size(), f) != tag.size())
-        throw std::runtime_error("trace_io: short write (tag)");
+    fileio::File file = fileio::open(path, "wb", "trace_io");
+    std::FILE *f = file.get();
+    fileio::writeWord(f, traceEventMagic, "trace_io");
+    fileio::writeWord(f, traceEventVersion, "trace_io");
+    fileio::writeWord<std::uint64_t>(f, events.size(), "trace_io");
+    fileio::writeWord(f, dropped, "trace_io");
+    fileio::writeString(f, tag, "trace_io");
     if (!events.empty() &&
         std::fwrite(events.data(), sizeof(TraceEvent), events.size(),
                     f) != events.size())
         throw std::runtime_error("trace_io: short write (events)");
+    fileio::close(file, "trace_io");
 }
 
 LoadedTrace
 readBinaryTrace(const std::string &path)
 {
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        throw std::runtime_error("trace_io: cannot open for read: " +
-                                 path);
-    FileCloser closer{f};
-    if (readU32(f) != traceEventMagic)
+    const fileio::File file = fileio::open(path, "rb", "trace_io");
+    std::FILE *f = file.get();
+    using U32 = std::uint32_t;
+    using U64 = std::uint64_t;
+    if (fileio::readWord<U32>(f, "trace_io") != traceEventMagic)
         throw std::runtime_error("trace_io: bad magic in " + path);
-    if (readU32(f) != traceEventVersion)
+    if (fileio::readWord<U32>(f, "trace_io") != traceEventVersion)
         throw std::runtime_error("trace_io: unsupported version in " +
                                  path);
     LoadedTrace t;
-    const std::uint64_t count = readU64(f);
-    t.dropped = readU64(f);
-    const std::uint32_t tag_len = readU32(f);
-    t.tag.resize(tag_len);
-    if (tag_len &&
-        std::fread(t.tag.data(), 1, tag_len, f) != tag_len)
-        throw std::runtime_error("trace_io: short read (tag)");
+    const U64 count = fileio::readWord<U64>(f, "trace_io");
+    t.dropped = fileio::readWord<U64>(f, "trace_io");
+    t.tag = fileio::readString(f, "trace_io", "tag length");
+    fileio::requireBytes(f, count, sizeof(TraceEvent), "trace_io",
+                         "event count");
     t.events.resize(count);
     if (count &&
         std::fread(t.events.data(), sizeof(TraceEvent), count, f) !=

@@ -49,7 +49,8 @@ void writeBinaryTrace(const std::string &path,
                       std::uint64_t dropped, const std::string &tag);
 
 /**
- * Load a binary trace file; validates magic/version.
+ * Load a binary trace file; validates magic/version, and refuses a
+ * tag length or event count the file cannot hold before allocating.
  * @throw std::runtime_error on I/O or format errors
  */
 LoadedTrace readBinaryTrace(const std::string &path);

@@ -139,7 +139,8 @@ const Knob knobs[] = {
     {"pollution.seed", F(pollution.seed), 0, u64Max, 1, true,
      "pollution address seed"},
     {"sched.mode", F(sched.mode), 0, 0, 1, false,
-     "event wheel and event-driven core, or every cycle", "wheel|legacy"},
+     "idle skipping and event-driven core, or every cycle",
+     "wheel|legacy"},
     {"trace.enabled", F(trace.enabled), 0, 1, 1, false,
      "lifecycle-event tracer"},
     {"trace.buffer", F(trace.bufferEvents), 0, 1u << 24, 1, false,

@@ -109,14 +109,14 @@ struct PollutionConfig
 struct SchedConfig
 {
     /**
-     * "wheel"  — event-wheel mode: MemorySystem::advance() returns
-     *            through a fast path on provably idle calls, the
-     *            core skips calls the wheel proves idle entirely, and
-     *            the core runs its event loop (CoreLoop::Event),
-     *            timing each uop once. Stats stay byte-identical to
-     *            legacy mode; the differential nets in
-     *            tests/test_event_wheel.cc and tests/test_ooo_core.cc
-     *            pin this (DESIGN.md §12).
+     * "wheel"  — idle-skipping mode (the name is historical):
+     *            MemorySystem::advance() returns through a fast path
+     *            on provably idle calls, the core skips the calls its
+     *            next-event cycle proves idle entirely, and the core
+     *            runs its event loop (CoreLoop::Event), timing each
+     *            uop once. Stats stay byte-identical to legacy mode;
+     *            the differential nets in tests/test_sched_modes.cc
+     *            and tests/test_ooo_core.cc pin this (DESIGN.md §12).
      * "legacy" — the original tick-every-cycle contract: advance()
      *            runs its full body on every call, and the core steps
      *            through every visited cycle (CoreLoop::Cycle).

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <unordered_set>
 
 #include "check/access.hh"
 #include "check/check.hh"
@@ -72,6 +71,7 @@ MemorySystem::MemorySystem(const SimConfig &cfg, BackingStore &store,
       l2Arbiter(cfg.mem.l2QueueSize, stats, "l2arb"),
       mshrs(cfg.core.loadBuffer + cfg.mem.busQueueSize + 8, stats,
             "mshr"),
+      pendingFills(mshrs.capacity()),
       pollutionRng(cfg.pollution.seed),
       pollutionSpan(static_cast<Addr>(cfg.physFrames) * pageBytes),
       trc(cfg.trace),
@@ -148,8 +148,10 @@ MemorySystem::advance(Cycle now)
     // window, whose fills must be scanned in turn.
     for (;;) {
         bool progressed = false;
-        while (auto f = pendingFills.popDue(now)) {
-            completeFill(f->payload, f->when);
+        while (!pendingFills.empty() && pendingFills.front().when <= now) {
+            const PendingFill f = pendingFills.front();
+            pendingFills.pop_front();
+            completeFill(f.linePa, f.when);
             progressed = true;
         }
         const std::size_t queued = l2Arbiter.size();
@@ -204,17 +206,17 @@ MemorySystem::checkInvariants() const
     CDP_CHECK_MSG(prefetchInFlight == check::prefetchEntryCount(mshrs),
                   check::dumpMshr(mshrs, "mshr"));
 
-    // Request-lifecycle pairing: every in-flight entry has exactly
-    // one scheduled completion event and vice versa, so no fill can
-    // be lost or delivered twice.
-    std::unordered_set<Addr> scheduled;
-    for (const EventWheel::Event &e : pendingFills.sorted())
-        scheduled.insert(e.payload);
-    CDP_CHECK_MSG(scheduled.size() == mshrs.size(),
+    // Request-lifecycle pairing: one scheduled fill per in-flight
+    // entry, due at its completion, in strict bus order (two fills of
+    // one line would share a cycle), so no fill is lost, delivered
+    // twice or delivered out of order.
+    CDP_CHECK_MSG(pendingFills.size() == mshrs.size(),
                   check::dumpMshr(mshrs, "mshr"));
-    for (const auto &[pa, entry] : check::sortedMshrEntries(mshrs)) {
-        (void)entry;
-        CDP_CHECK_MSG(scheduled.count(pa) == 1,
+    for (std::size_t i = 0; i < pendingFills.size(); ++i) {
+        const PendingFill &f = pendingFills[i];
+        CDP_CHECK(i == 0 || pendingFills[i - 1].when < f.when);
+        const MshrEntry *entry = mshrs.find(f.linePa);
+        CDP_CHECK_MSG(entry != nullptr && entry->completion == f.when,
                       check::dumpMshr(mshrs, "mshr"));
     }
 #endif
@@ -226,7 +228,7 @@ MemorySystem::drainAll(Cycle now)
     while (!pendingFills.empty() || !l2Arbiter.empty()) {
         Cycle horizon = now;
         if (!pendingFills.empty())
-            horizon = std::max(horizon, pendingFills.nextDue());
+            horizon = std::max(horizon, pendingFills.front().when);
         advance(horizon + cfg.mem.drainBudgetCap);
         now = horizon + cfg.mem.drainBudgetCap;
     }
@@ -310,7 +312,7 @@ MemorySystem::timedWalk(Addr va, Cycle now, bool speculative)
         fill.root = fill.id; // walk fills are their own root
         fill.completion = comp;
         if (mshrs.allocate(fill)) {
-            pendingFills.schedule(comp, lpa);
+            scheduleFill(comp, lpa);
             if (trc.active())
                 trc.record(obs::EventKind::Issue, now + lat, lpa,
                            fill.id, fill.root, ReqType::PageWalk, 0, 0);
@@ -447,7 +449,7 @@ MemorySystem::issuePrefetch(MemRequest req, Cycle now)
         return false;
     }
     ++prefetchInFlight;
-    pendingFills.schedule(e.completion, line_pa);
+    scheduleFill(e.completion, line_pa);
     if (trc.active())
         trc.record(obs::EventKind::Issue, now, line_pa, req.id,
                    req.root, req.type, req.depth, req.hop);
@@ -511,6 +513,16 @@ MemorySystem::scanAndEnqueue(Addr line_pa, Addr trigger_ea,
         enqueuePrefetch(ReqType::ContentPrefetch, c.vaddr, c.lineVa,
                         c.depth, root, c.hop, now, c.widthLine);
     }
+}
+
+void
+MemorySystem::scheduleFill(Cycle when, Addr line_pa)
+{
+    if (!pendingFills.empty() && when <= pendingFills.back().when)
+        throw std::logic_error(
+            "MemorySystem: fill scheduled at or before the last "
+            "pending fill (completions must follow bus order)");
+    pendingFills.push_back({when, line_pa});
 }
 
 void
@@ -626,7 +638,7 @@ MemorySystem::maybeInjectPollution(Cycle now)
     e.completion = bus.service(now);
     if (mshrs.allocate(e)) {
         ++prefetchInFlight;
-        pendingFills.schedule(e.completion, line_pa);
+        scheduleFill(e.completion, line_pa);
         ++ctr.pollutionInjected;
         if (trc.active())
             trc.record(obs::EventKind::Issue, now, line_pa, e.id,
@@ -759,7 +771,7 @@ MemorySystem::load(Addr pc, Addr vaddr, Cycle now, bool /*pointer_load*/)
     e.root = demandId;
     e.completion = comp;
     if (mshrs.allocate(e)) {
-        pendingFills.schedule(comp, line_pa);
+        scheduleFill(comp, line_pa);
         if (trc.active())
             trc.record(obs::EventKind::Issue, t0, line_pa, demandId,
                        demandId, ReqType::DemandLoad, 0, 0);
@@ -826,7 +838,7 @@ MemorySystem::store(Addr pc, Addr vaddr, Cycle now)
     e.root = demandId;
     e.completion = comp;
     if (mshrs.allocate(e)) {
-        pendingFills.schedule(comp, line_pa);
+        scheduleFill(comp, line_pa);
         if (trc.active())
             trc.record(obs::EventKind::Issue, t0, line_pa, demandId,
                        demandId, ReqType::DemandStore, 0, 0);

@@ -29,6 +29,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "common/ring_deque.hh"
 #include "common/rng.hh"
 #include "common/types.hh"
 #include "core/adaptive_vam.hh"
@@ -42,7 +43,6 @@
 #include "obs/tracer.hh"
 #include "prefetch/prefetcher.hh"
 #include "sim/config.hh"
-#include "sim/event_wheel.hh"
 #include "stats/stat.hh"
 #include "vm/page_table.hh"
 #include "vm/page_walker.hh"
@@ -276,7 +276,7 @@ class MemorySystem : public CoreMemIf
     {
         Cycle next = ~Cycle{0};
         if (!pendingFills.empty())
-            next = pendingFills.nextDue();
+            next = pendingFills.front().when;
         if (const MemRequest *head = l2Arbiter.peek())
             next = std::min(next,
                             std::max(head->enqueued, bus.freeCycle()));
@@ -322,6 +322,14 @@ class MemorySystem : public CoreMemIf
     /** Issue one drained prefetch; returns false if squashed. */
     bool issuePrefetch(MemRequest req, Cycle now);
 
+    /**
+     * Queue the fill of @p line_pa due at @p when. Fills come from
+     * the one bus in strictly increasing completion order (DESIGN.md
+     * §12); throws std::logic_error unless @p when is after the last
+     * pending fill.
+     */
+    void scheduleFill(Cycle when, Addr line_pa);
+
     /** Handle one completed fill (insert + scan + chain). */
     void completeFill(Addr line_pa, Cycle when);
 
@@ -364,7 +372,14 @@ class MemorySystem : public CoreMemIf
     QueuedArbiter l2Arbiter;
     MshrFile mshrs;
 
-    EventWheel pendingFills;
+    struct PendingFill
+    {
+        Cycle when = 0;
+        Addr linePa = 0;
+    };
+    /** Scheduled fills in bus order; each holds an MSHR entry, so
+     *  the MSHR capacity bounds it. */
+    RingDeque<PendingFill> pendingFills;
     unsigned prefetchInFlight = 0;
     // cdplint: transient(skipIdle, fullAdvances, skippedAdvances) -- scheduler-mode policy knob and diagnostic call counters; never architectural state
     /** sched.mode == "wheel": advance() may fast-path idle calls. */

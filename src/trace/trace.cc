@@ -1,6 +1,5 @@
 #include "trace/trace.hh"
 
-#include <cstring>
 #include <stdexcept>
 
 namespace cdp
@@ -37,9 +36,19 @@ pack(const Uop &u)
     return r;
 }
 
+/** Flag bits a record may carry: bit0 taken, bit1 pointerLoad. */
+constexpr std::uint8_t knownFlags = 3;
+
+/** Decode record @p index, refusing any field no uop can hold. */
 Uop
-unpack(const Record &r)
+unpack(const Record &r, std::uint64_t index)
 {
+    std::string bad = uopFieldError(r.type, r.src0, r.src1, r.dst);
+    if (bad.empty() && (r.flags & ~knownFlags) != 0)
+        bad = "unknown uop flag bits " + std::to_string(r.flags);
+    if (!bad.empty())
+        throw std::runtime_error("trace: record " +
+                                 std::to_string(index) + ": " + bad);
     Uop u;
     u.type = static_cast<UopType>(r.type);
     u.taken = (r.flags & 1u) != 0;
@@ -52,85 +61,44 @@ unpack(const Record &r)
     return u;
 }
 
-/** Header layout: magic, version, count, tag length, tag bytes. */
-void
-writeU32(std::FILE *f, std::uint32_t v)
-{
-    if (std::fwrite(&v, sizeof(v), 1, f) != 1)
-        throw std::runtime_error("trace: short write");
-}
-
-void
-writeU64(std::FILE *f, std::uint64_t v)
-{
-    if (std::fwrite(&v, sizeof(v), 1, f) != 1)
-        throw std::runtime_error("trace: short write");
-}
-
-std::uint32_t
-readU32(std::FILE *f)
-{
-    std::uint32_t v = 0;
-    if (std::fread(&v, sizeof(v), 1, f) != 1)
-        throw std::runtime_error("trace: short read");
-    return v;
-}
-
-std::uint64_t
-readU64(std::FILE *f)
-{
-    std::uint64_t v = 0;
-    if (std::fread(&v, sizeof(v), 1, f) != 1)
-        throw std::runtime_error("trace: short read");
-    return v;
-}
-
 } // namespace
 
 // --------------------------------------------------------- TraceWriter
 
 TraceWriter::TraceWriter(const std::string &path,
                          const std::string &workload_tag)
-    : tag(workload_tag)
+    : file(fileio::open(path, "wb", "trace")), tag(workload_tag)
 {
-    file = std::fopen(path.c_str(), "wb");
-    if (!file)
-        throw std::runtime_error("trace: cannot open for write: " +
-                                 path);
     writeHeader();
 }
 
 TraceWriter::~TraceWriter()
 {
-    if (!closed) {
-        try {
-            close();
-        } catch (...) {
-            // Destructor must not throw; the file may be truncated.
-        }
+    try {
+        close();
+    } catch (...) {
+        // Destructor must not throw; the file may be truncated.
     }
 }
 
 void
 TraceWriter::writeHeader()
 {
-    std::rewind(file);
-    writeU32(file, traceMagic);
-    writeU32(file, traceVersion);
-    writeU64(file, written);
-    writeU32(file, static_cast<std::uint32_t>(tag.size()));
-    if (!tag.empty() &&
-        std::fwrite(tag.data(), 1, tag.size(), file) != tag.size())
-        throw std::runtime_error("trace: short write (tag)");
+    std::FILE *f = file.get();
+    std::rewind(f);
+    fileio::writeWord(f, traceMagic, "trace");
+    fileio::writeWord(f, traceVersion, "trace");
+    fileio::writeWord(f, written, "trace");
+    fileio::writeString(f, tag, "trace");
 }
 
 void
 TraceWriter::append(const Uop &u)
 {
-    if (closed)
+    if (!file)
         throw std::logic_error("trace: append after close");
     const Record r = pack(u);
-    if (std::fwrite(&r, sizeof(r), 1, file) != 1)
+    if (std::fwrite(&r, sizeof(r), 1, file.get()) != 1)
         throw std::runtime_error("trace: short write (record)");
     ++written;
 }
@@ -138,40 +106,27 @@ TraceWriter::append(const Uop &u)
 void
 TraceWriter::close()
 {
-    if (closed)
+    if (!file)
         return;
     writeHeader(); // rewrite with the final count
-    if (std::fclose(file) != 0)
-        throw std::runtime_error("trace: close failed");
-    file = nullptr;
-    closed = true;
+    fileio::close(file, "trace");
 }
 
 // --------------------------------------------------------- TraceReader
 
 TraceReader::TraceReader(const std::string &path)
+    : file(fileio::open(path, "rb", "trace"))
 {
-    file = std::fopen(path.c_str(), "rb");
-    if (!file)
-        throw std::runtime_error("trace: cannot open for read: " +
-                                 path);
-    if (readU32(file) != traceMagic)
+    std::FILE *f = file.get();
+    using U32 = std::uint32_t;
+    if (fileio::readWord<U32>(f, "trace") != traceMagic)
         throw std::runtime_error("trace: bad magic in " + path);
-    if (readU32(file) != traceVersion)
+    if (fileio::readWord<U32>(f, "trace") != traceVersion)
         throw std::runtime_error("trace: unsupported version in " +
                                  path);
-    total = readU64(file);
-    const std::uint32_t tag_len = readU32(file);
-    tag.resize(tag_len);
-    if (tag_len &&
-        std::fread(tag.data(), 1, tag_len, file) != tag_len)
-        throw std::runtime_error("trace: short read (tag)");
-}
-
-TraceReader::~TraceReader()
-{
-    if (file)
-        std::fclose(file);
+    total = fileio::readWord<std::uint64_t>(f, "trace");
+    tag = fileio::readString(f, "trace", "tag length");
+    fileio::requireBytes(f, total, sizeof(Record), "trace", "uop count");
 }
 
 bool
@@ -180,9 +135,9 @@ TraceReader::next(Uop &u)
     if (consumed >= total)
         return false;
     Record r;
-    if (std::fread(&r, sizeof(r), 1, file) != 1)
+    if (std::fread(&r, sizeof(r), 1, file.get()) != 1)
         throw std::runtime_error("trace: truncated record");
-    u = unpack(r);
+    u = unpack(r, consumed);
     ++consumed;
     return true;
 }

@@ -11,12 +11,13 @@
  * machines or attached to a bug report).
  *
  * File format (little-endian):
- *   header: magic "CDPT", u32 version, u64 uop count
- *   records: one 14-byte record per uop
+ *   header: u32 magic "CDPT", u32 version, u64 uop count,
+ *           u32 tag length, tag bytes (workload tag)
+ *   records: one 16-byte record per uop
  *     u8  type          (UopType)
  *     u8  flags         (bit0 taken, bit1 pointerLoad)
  *     i8  src0, src1, dst
- *     u8  pad
+ *     u8  pad[3]        (zero)
  *     u32 pc
  *     u32 vaddr
  *
@@ -30,11 +31,11 @@
 #define CDP_TRACE_TRACE_HH
 
 #include <cstdint>
-#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/file_io.hh"
 #include "cpu/uop.hh"
 
 namespace cdp
@@ -73,23 +74,20 @@ class TraceWriter
   private:
     void writeHeader();
 
-    std::FILE *file = nullptr;
+    fileio::File file;
     std::string tag;
     std::uint64_t written = 0;
-    bool closed = false;
 };
 
 /**
- * Reads a trace file; validates magic/version on open.
+ * Reads a trace file; validates magic/version on open. Refuses, naming
+ * the field, a header length the file cannot hold and a record no uop
+ * can carry (uopFieldError, as checkpoint restore does).
  */
 class TraceReader
 {
   public:
     explicit TraceReader(const std::string &path);
-    ~TraceReader();
-
-    TraceReader(const TraceReader &) = delete;
-    TraceReader &operator=(const TraceReader &) = delete;
 
     /**
      * Read the next uop.
@@ -101,7 +99,7 @@ class TraceReader
     const std::string &workloadTag() const { return tag; }
 
   private:
-    std::FILE *file = nullptr;
+    fileio::File file;
     std::uint64_t total = 0;
     std::uint64_t consumed = 0;
     std::string tag;

@@ -2,7 +2,7 @@
  * Shared configuration fuzzer for the property-test nets.
  *
  * randomConfig(seed) maps a seed to a random-but-valid SimConfig.
- * Multiple test binaries (test_fuzz, test_event_wheel) draw from the
+ * Multiple test binaries (test_fuzz, test_sched_modes) draw from the
  * same distribution so a seed reported by one net reproduces in the
  * others. invalidConfig(seed) derives a config with one knob out of
  * range from it, for the invalid-config axis.

@@ -1,20 +1,19 @@
 /** @file
- * Event-wheel scheduler tests: unit coverage of EventWheel's
- * determinism contract, plus the differential-equivalence net between
- * the wheel (idle-skipping) and legacy (tick-every-cycle) simulation
+ * Scheduler-mode tests: the differential-equivalence net between the
+ * wheel (idle-skipping) and legacy (tick-every-cycle) simulation
  * modes. The two modes must produce byte-identical statistics on any
  * valid configuration — that is the entire correctness argument for
- * skipping cycles (DESIGN.md §12).
+ * skipping cycles (DESIGN.md §12). Also pins the bus order the
+ * pending-fill FIFO relies on.
  */
 
 #include <gtest/gtest.h>
 
 #include <sstream>
-#include <stdexcept>
 #include <string>
+#include <unordered_map>
 
 #include "fuzz_config.hh"
-#include "sim/event_wheel.hh"
 #include "sim/memory_system.hh"
 #include "sim/simulator.hh"
 
@@ -33,127 +32,6 @@ dumpStats(Simulator &sim)
 }
 
 } // namespace
-
-TEST(EventWheel, PopsInCycleOrder)
-{
-    EventWheel w;
-    w.schedule(30, 0xc0);
-    w.schedule(10, 0xa0);
-    w.schedule(20, 0xb0);
-    ASSERT_EQ(w.size(), 3u);
-    ASSERT_EQ(w.nextDue(), 10u);
-
-    auto e = w.popDue(100);
-    ASSERT_TRUE(e);
-    EXPECT_EQ(e->when, 10u);
-    EXPECT_EQ(e->payload, 0xa0u);
-    e = w.popDue(100);
-    ASSERT_TRUE(e);
-    EXPECT_EQ(e->when, 20u);
-    e = w.popDue(100);
-    ASSERT_TRUE(e);
-    EXPECT_EQ(e->when, 30u);
-    EXPECT_TRUE(w.empty());
-    EXPECT_FALSE(w.popDue(100));
-}
-
-TEST(EventWheel, FifoAmongSameCycleEvents)
-{
-    EventWheel w;
-    for (Addr p : {0x1u, 0x2u, 0x3u, 0x4u})
-        w.schedule(7, p);
-    for (Addr expect : {0x1u, 0x2u, 0x3u, 0x4u}) {
-        auto e = w.popDue(7);
-        ASSERT_TRUE(e);
-        EXPECT_EQ(e->payload, expect);
-    }
-    EXPECT_TRUE(w.empty());
-}
-
-TEST(EventWheel, PopDueGatesOnNow)
-{
-    EventWheel w;
-    w.schedule(50, 0xaa);
-    EXPECT_FALSE(w.popDue(49));
-    EXPECT_EQ(w.size(), 1u);
-    auto e = w.popDue(50);
-    ASSERT_TRUE(e);
-    EXPECT_EQ(e->payload, 0xaau);
-}
-
-TEST(EventWheel, OverflowEventsMigrateIntoTheRing)
-{
-    // Schedule far beyond the 1024-slot horizon, then drain a near
-    // event so the wheel's base turns past the old window; the
-    // overflow events must surface in order.
-    EventWheel w;
-    w.schedule(5, 0x1);
-    w.schedule(5'000, 0x2);
-    w.schedule(200'000, 0x3);
-    w.schedule(5'000, 0x4); // same far cycle: FIFO with 0x2
-
-    auto e = w.popDue(5);
-    ASSERT_TRUE(e);
-    EXPECT_EQ(e->payload, 0x1u);
-    EXPECT_EQ(w.nextDue(), 5'000u);
-
-    e = w.popDue(1'000'000);
-    ASSERT_TRUE(e);
-    EXPECT_EQ(e->when, 5'000u);
-    EXPECT_EQ(e->payload, 0x2u);
-    e = w.popDue(1'000'000);
-    ASSERT_TRUE(e);
-    EXPECT_EQ(e->when, 5'000u);
-    EXPECT_EQ(e->payload, 0x4u);
-    e = w.popDue(1'000'000);
-    ASSERT_TRUE(e);
-    EXPECT_EQ(e->when, 200'000u);
-    EXPECT_EQ(e->payload, 0x3u);
-    EXPECT_TRUE(w.empty());
-}
-
-TEST(EventWheel, SortedReturnsPendingInWhenSeqOrder)
-{
-    EventWheel w;
-    w.schedule(40, 0xd);
-    w.schedule(12, 0xa);
-    w.schedule(40, 0xe);
-    w.schedule(2'000, 0xf); // overflow region
-
-    const auto pending = w.sorted();
-    ASSERT_EQ(pending.size(), 4u);
-    EXPECT_EQ(pending[0].payload, 0xau);
-    EXPECT_EQ(pending[1].payload, 0xdu);
-    EXPECT_EQ(pending[2].payload, 0xeu);
-    EXPECT_LT(pending[1].seq, pending[2].seq);
-    EXPECT_EQ(pending[3].payload, 0xfu);
-}
-
-TEST(EventWheel, SchedulingBehindTheBaseThrows)
-{
-    EventWheel w;
-    w.schedule(100, 0x1);
-    // Draining the cycle-100 event turns the wheel: 100 becomes the
-    // base, and anything behind it would mean time ran backwards.
-    auto e = w.popDue(100);
-    ASSERT_TRUE(e);
-    EXPECT_THROW(w.schedule(99, 0x3), std::logic_error);
-
-    // At or above base is legal even when it undercuts the current
-    // minimum — the new event simply becomes the next to pop.
-    w.schedule(200, 0x2);
-    w.schedule(150, 0x4);
-    w.schedule(200, 0x5); // FIFO tie with 0x2
-    e = w.popDue(1'000);
-    ASSERT_TRUE(e);
-    EXPECT_EQ(e->payload, 0x4u);
-    e = w.popDue(1'000);
-    ASSERT_TRUE(e);
-    EXPECT_EQ(e->payload, 0x2u);
-    e = w.popDue(1'000);
-    ASSERT_TRUE(e);
-    EXPECT_EQ(e->payload, 0x5u);
-}
 
 /**
  * The differential net: for every fuzzed configuration, a full
@@ -258,4 +136,64 @@ TEST_P(WheelCheckpointCross, RestoreAcrossSchedulerModes)
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, WheelCheckpointCross,
+                         ::testing::Range<std::uint64_t>(1, 9));
+
+/**
+ * The order the pending-fill FIFO depends on (DESIGN.md §12): every
+ * fill is minted by the single front-side bus, so fills complete in
+ * strictly increasing cycles, each after its own issue. Fuzzed
+ * machines with pollution injection, Markov and a small DTLB (so
+ * page-walk fills interleave with demand and prefetch fills) must
+ * show exactly that in the lifecycle trace.
+ */
+class FillOrder : public ::testing::TestWithParam<std::uint64_t>
+{
+};
+
+TEST_P(FillOrder, FillsCompleteInStrictBusOrder)
+{
+    SimConfig c = randomConfig(GetParam());
+    SCOPED_TRACE("workload=" + c.workload + " seed=" +
+                 std::to_string(GetParam()));
+    c.pollution.enabled = true;
+    c.markov.enabled = true;
+    c.mem.dtlbEntries = 32;
+    c.trace.enabled = true;
+    c.trace.bufferEvents = 1u << 20;
+
+    Simulator sim(c);
+    (void)sim.run();
+    if (!sim.memory().tracer().active())
+        GTEST_SKIP() << "tracer compiled out (CDP_ENABLE_TRACE=OFF)";
+    sim.memory().drainAll(sim.core().currentCycle());
+    const obs::Tracer &trc = sim.memory().tracer();
+    ASSERT_EQ(trc.dropped(), 0u) << "event buffer too small";
+
+    std::unordered_map<ReqId, Cycle> issued;
+    std::size_t fills = 0, walkFills = 0;
+    Cycle lastFill = 0;
+    for (const obs::TraceEvent &e : trc.snapshot()) {
+        if (e.kindOf() == obs::EventKind::Issue) {
+            issued.emplace(e.id, e.cycle);
+            continue;
+        }
+        if (e.kindOf() != obs::EventKind::Fill)
+            continue;
+        if (fills++ != 0) {
+            EXPECT_LT(lastFill, e.cycle) << "fill id " << e.id;
+        }
+        lastFill = e.cycle;
+        const auto it = issued.find(e.id);
+        ASSERT_NE(it, issued.end()) << "fill before its issue, id "
+                                    << e.id;
+        EXPECT_LT(it->second, e.cycle) << "fill id " << e.id;
+        walkFills += e.typeOf() == ReqType::PageWalk;
+    }
+    // The run exercised every fill source the FIFO interleaves.
+    EXPECT_GT(fills, 0u);
+    EXPECT_GT(walkFills, 0u);
+    EXPECT_GT(sim.memory().counters().pollutionInjected, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FillOrder,
                          ::testing::Range<std::uint64_t>(1, 9));

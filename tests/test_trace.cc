@@ -4,9 +4,12 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <initializer_list>
 #include <sstream>
 #include <string>
+#include <utility>
 
+#include "obs/trace_io.hh"
 #include "sim/simulator.hh"
 #include "trace/trace.hh"
 #include "workloads/builders.hh"
@@ -46,6 +49,48 @@ sampleUop(unsigned i)
     u.taken = (i % 2) != 0;
     u.pointerLoad = (i % 5) == 0;
     return u;
+}
+
+/** Write @p words (u32 or u64 each, by the paired flag) to @p path. */
+void
+writeRaw(const std::string &path,
+         std::initializer_list<std::pair<std::uint64_t, bool>> words)
+{
+    std::FILE *f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    for (const auto &[v, wide] : words) {
+        if (wide) {
+            std::fwrite(&v, sizeof(v), 1, f);
+        } else {
+            const auto v32 = static_cast<std::uint32_t>(v);
+            std::fwrite(&v32, sizeof(v32), 1, f);
+        }
+    }
+    std::fclose(f);
+}
+
+/** The std::runtime_error message @p open throws, or "(no error)". */
+template <typename Open>
+std::string
+openError(Open open)
+{
+    try {
+        open();
+    } catch (const std::runtime_error &e) {
+        return e.what();
+    }
+    return "(no error)";
+}
+
+/** Overwrite byte @p offset of @p path with @p value. */
+void
+patchByte(const std::string &path, long offset, std::uint8_t value)
+{
+    std::FILE *f = std::fopen(path.c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fseek(f, offset, SEEK_SET), 0);
+    std::fputc(value, f);
+    std::fclose(f);
 }
 
 bool
@@ -118,6 +163,80 @@ TEST_F(TraceFixture, MissingFileRejected)
 {
     EXPECT_THROW(TraceReader r("/nonexistent/dir/x.cdpt"),
                  std::runtime_error);
+}
+
+// Lengths in a header are untrusted: each claim is checked against
+// the bytes the file still holds before anything is allocated for
+// it. The claims stay small enough that a reader allocating them
+// first would still fail fast.
+TEST_F(TraceFixture, HostileTagLengthRefused)
+{
+    writeRaw(path, {{traceMagic, false}, {traceVersion, false},
+                    {1, true}, {1u << 20, false}});
+    const std::string err = openError([&] { TraceReader r(path); });
+    EXPECT_NE(err.find("tag length"), std::string::npos) << err;
+}
+
+TEST_F(TraceFixture, HostileUopCountRefused)
+{
+    {
+        TraceWriter w(path, "t");
+        w.append(sampleUop(0));
+        w.close();
+    }
+    patchByte(path, 8, 0x02); // count 1 -> 2, one record present
+    const std::string err = openError([&] { TraceReader r(path); });
+    EXPECT_NE(err.find("uop count"), std::string::npos) << err;
+}
+
+TEST_F(TraceFixture, HostileLifecycleHeaderRefused)
+{
+    const auto load = [&] { (void)obs::readBinaryTrace(path); };
+    writeRaw(path, {{obs::traceEventMagic, false},
+                    {obs::traceEventVersion, false},
+                    {0, true}, {0, true}, {1u << 20, false}});
+    const std::string tagErr = openError(load);
+    EXPECT_NE(tagErr.find("tag length"), std::string::npos) << tagErr;
+
+    writeRaw(path, {{obs::traceEventMagic, false},
+                    {obs::traceEventVersion, false},
+                    {1u << 16, true}, {0, true}, {0, false}});
+    const std::string countErr = openError(load);
+    EXPECT_NE(countErr.find("event count"), std::string::npos)
+        << countErr;
+}
+
+// Records go through the checkpoint's uop rule: a replayed uop the
+// core would index its tables with is refused, naming the field.
+TEST_F(TraceFixture, HostileRecordFieldsRefused)
+{
+    // Header: magic, version, count, tag length, tag "t" = 21 bytes;
+    // record fields: type, flags, src0, src1, dst.
+    constexpr long rec = 21;
+    const struct
+    {
+        long offset;
+        std::uint8_t value;
+        const char *field;
+    } cases[] = {
+        {rec + 0, 0xff, "uop type"},
+        {rec + 3, 40, "src1 register 40"},
+        {rec + 4, 0x80, "dst register 128"},
+        {rec + 1, 0x04, "flag bits"},
+    };
+    for (const auto &c : cases) {
+        {
+            TraceWriter w(path, "t");
+            w.append(sampleUop(0));
+            w.close();
+        }
+        patchByte(path, c.offset, c.value);
+        TraceReader r(path);
+        Uop u;
+        const std::string err = openError([&] { r.next(u); });
+        EXPECT_NE(err.find(c.field), std::string::npos) << err;
+        EXPECT_NE(err.find("record 0"), std::string::npos) << err;
+    }
 }
 
 TEST_F(TraceFixture, TraceSourceLoopsForever)

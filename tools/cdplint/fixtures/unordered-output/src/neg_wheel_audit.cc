@@ -1,8 +1,7 @@
-// Fixture: the sanctioned event-wheel audit shape — snapshot the
+// Fixture: the sanctioned pending-event audit shape — snapshot the
 // pending events, sort by the determinism key (when, then schedule
 // sequence), then emit. The audit becomes a pure function of the
-// pending set, independent of hash layout (src/sim/event_wheel.cc
-// sorted() is the in-tree original).
+// pending set, independent of hash layout.
 
 #include <algorithm>
 #include <cstdint>

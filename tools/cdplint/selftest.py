@@ -171,7 +171,7 @@ class AcceptanceScratch(unittest.TestCase):
     stats dump into a scratch copy of memory_system.cc yields findings
     with the right file:line and rule id, in text and SARIF."""
 
-    ANCHOR = "std::unordered_set<Addr> scheduled;"
+    ANCHOR = "const unsigned maxDepth = std::max(cdpDepthHighWater, 1u);"
 
     def _scratch(self, work):
         dst = work / "scratch" / "src" / "sim"
@@ -181,6 +181,7 @@ class AcceptanceScratch(unittest.TestCase):
         anchor = next(i for i, ln in enumerate(lines)
                       if self.ANCHOR in ln)
         inject = [
+            "    std::unordered_set<Addr> scheduled;\n",
             "    std::random_device planted_rd;\n",
             "    for (const auto pa2 : scheduled) {"
             " std::cout << pa2; }\n",
@@ -189,7 +190,7 @@ class AcceptanceScratch(unittest.TestCase):
         out = dst / "memory_system.cc"
         out.write_text("".join(lines))
         # 1-based lines of the two planted statements.
-        return out, anchor + 2, anchor + 3
+        return out, anchor + 3, anchor + 4
 
     def test_planted_bugs_are_found(self):
         with tempfile.TemporaryDirectory() as td:

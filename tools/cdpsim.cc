@@ -223,6 +223,31 @@ dumpTrace(Simulator &sim, const Options &opt)
     }
 }
 
+/**
+ * Bring @p sim to its warm state — restored from --checkpoint-in, or
+ * warmed up and, for --checkpoint-out, quiesced and saved — then run
+ * the measured phase.
+ */
+RunResult
+warmAndMeasure(Simulator &sim, const Options &opt)
+{
+    const SimConfig &c = sim.config();
+    if (!opt.checkpointIn.empty()) {
+        sim.restoreCheckpointFile(opt.checkpointIn);
+        std::fprintf(stderr, "checkpoint: restored %s\n",
+                     opt.checkpointIn.c_str());
+    } else {
+        sim.warmup(c.warmupUops);
+        if (!opt.checkpointOut.empty()) {
+            sim.quiesce();
+            sim.saveCheckpointFile(opt.checkpointOut);
+            std::fprintf(stderr, "checkpoint: wrote %s\n",
+                         opt.checkpointOut.c_str());
+        }
+    }
+    return sim.measure(c.measureUops);
+}
+
 void
 printCsvHeader()
 {
@@ -310,68 +335,6 @@ main(int argc, char **argv)
             return 0;
         }
 
-        if (!opt.checkpointOut.empty() || !opt.checkpointIn.empty()) {
-            const SimConfig &c = opt.cfg;
-            if (opt.csv)
-                printCsvHeader();
-            else
-                std::fprintf(stderr, "%s\n\n", c.summary().c_str());
-            Simulator sim(c);
-            if (!opt.checkpointIn.empty()) {
-                sim.restoreCheckpointFile(opt.checkpointIn);
-                std::fprintf(stderr, "checkpoint: restored %s\n",
-                             opt.checkpointIn.c_str());
-            } else {
-                sim.warmup(c.warmupUops);
-                sim.quiesce();
-                sim.saveCheckpointFile(opt.checkpointOut);
-                std::fprintf(stderr, "checkpoint: wrote %s\n",
-                             opt.checkpointOut.c_str());
-            }
-            const RunResult r = sim.measure(c.measureUops);
-            if (opt.csv)
-                printCsvRow(r);
-            else
-                printHumanRow(c.workload, r);
-            if (opt.stats) {
-                std::printf("---- full statistics: %s ----\n",
-                            c.workload.c_str());
-                std::ostringstream os;
-                sim.stats().dump(os);
-                std::fputs(os.str().c_str(), stdout);
-            }
-            return 0;
-        }
-
-        if (opt.traceWanted()) {
-            // Traced runs stay on this thread: the tracer lives in
-            // the run's MemorySystem and is dumped after it settles.
-            const SimConfig &c = opt.cfg;
-            if (opt.csv)
-                printCsvHeader();
-            else
-                std::fprintf(stderr, "%s\n\n", c.summary().c_str());
-            Simulator sim(c);
-            const RunResult r = sim.run();
-            std::string statsDump;
-            if (opt.stats) {
-                std::ostringstream os;
-                sim.stats().dump(os);
-                statsDump = os.str();
-            }
-            if (opt.csv)
-                printCsvRow(r);
-            else
-                printHumanRow(c.workload, r);
-            if (opt.stats) {
-                std::printf("---- full statistics: %s ----\n",
-                            c.workload.c_str());
-                std::fputs(statsDump.c_str(), stdout);
-            }
-            dumpTrace(sim, opt);
-            return 0;
-        }
-
         if (opt.csv)
             printCsvHeader();
         else
@@ -379,7 +342,9 @@ main(int argc, char **argv)
 
         // Fan the workloads out; each task also captures its stats
         // dump as text so rows and dumps print in listing order no
-        // matter which worker finished first.
+        // matter which worker finished first. Checkpointed and traced
+        // runs take a single workload, so their one task does the
+        // checkpoint and trace I/O itself.
         struct Row
         {
             RunResult result;
@@ -392,12 +357,14 @@ main(int argc, char **argv)
                 c.workload = opt.workloads[i];
                 Simulator sim(c);
                 Row row;
-                row.result = sim.run();
+                row.result = warmAndMeasure(sim, opt);
                 if (opt.stats) {
                     std::ostringstream os;
                     sim.stats().dump(os);
                     row.statsDump = os.str();
                 }
+                if (opt.traceWanted())
+                    dumpTrace(sim, opt);
                 return row;
             });
 

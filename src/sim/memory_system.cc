@@ -455,7 +455,7 @@ MemorySystem::issuePrefetch(MemRequest req, Cycle now)
                    req.root, req.type, req.depth, req.hop);
 
     if (req.type == ReqType::ContentPrefetch) {
-        provChainDepth.sample(static_cast<double>(req.depth));
+        provChainDepth.sample(req.depth);
         ++ctr.cdpIssued;
         adaptive.noteIssued();
         if (e.strideOverlap)
@@ -653,7 +653,7 @@ MemorySystem::load(Addr pc, Addr vaddr, Cycle now, bool /*pointer_load*/)
     ++ctr.demandLoads;
 
     if (dl1.lookup(vaddr)) {
-        loadLatency.sample(static_cast<double>(cfg.mem.l1Latency));
+        loadLatency.sample(cfg.mem.l1Latency);
         return now + cfg.mem.l1Latency;
     }
     ++ctr.l1Misses;
@@ -682,8 +682,7 @@ MemorySystem::load(Addr pc, Addr vaddr, Cycle now, bool /*pointer_load*/)
         if (line->prefetched && !line->everUsed) {
             // First demand touch of a prefetched line: fully masked.
             if (now > line->fillCycle)
-                prefetchLead.sample(static_cast<double>(
-                    cyclesSince(now, line->fillCycle)));
+                prefetchLead.sample(cyclesSince(now, line->fillCycle));
             if (line->fillType == ReqType::ContentPrefetch) {
                 ++ctr.maskFullCdp;
                 ++ctr.cdpUseful;
@@ -699,8 +698,7 @@ MemorySystem::load(Addr pc, Addr vaddr, Cycle now, bool /*pointer_load*/)
         line->everUsed = true;
         reinforceOnHit(*line, line_pa, 0, vaddr, now);
         dl1.insert(line_va);
-        loadLatency.sample(static_cast<double>(
-            cyclesSince(t0 + cfg.mem.l2Latency, now)));
+        loadLatency.sample(cyclesSince(t0 + cfg.mem.l2Latency, now));
         return t0 + cfg.mem.l2Latency;
     }
 
@@ -739,7 +737,7 @@ MemorySystem::load(Addr pc, Addr vaddr, Cycle now, bool /*pointer_load*/)
         }
         const Cycle done = std::max(inflight_done,
                                     t0 + cfg.mem.l2Latency);
-        loadLatency.sample(static_cast<double>(cyclesSince(done, now)));
+        loadLatency.sample(cyclesSince(done, now));
         return done;
     }
 
@@ -776,7 +774,7 @@ MemorySystem::load(Addr pc, Addr vaddr, Cycle now, bool /*pointer_load*/)
             trc.record(obs::EventKind::Issue, t0, line_pa, demandId,
                        demandId, ReqType::DemandLoad, 0, 0);
     }
-    loadLatency.sample(static_cast<double>(cyclesSince(comp, now)));
+    loadLatency.sample(cyclesSince(comp, now));
     return comp;
 }
 

@@ -112,7 +112,10 @@ class Simulator
      * adaptive.*, trace.*, run lengths) may differ, enabling
      * warm-once / fork-many sweeps. Throws snap::SnapshotError with a
      * section-qualified diagnostic on any mismatch, corruption,
-     * truncation, or version skew.
+     * truncation, or version skew. Sections stream in checksummed
+     * chunks, so a corrupt later chunk or section surfaces after the
+     * earlier ones were applied: after a throw this machine is partly
+     * overwritten and must be discarded (DESIGN.md §11).
      */
     void restoreCheckpoint(std::istream &is);
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstring>
 #include <istream>
 #include <ostream>
 
@@ -18,69 +17,84 @@ constexpr char magic[] = "CDPSNAP\n"; // 8 bytes, no terminator written
 constexpr std::size_t magicLen = 8;
 constexpr char endTag[] = "END!";
 constexpr std::size_t tagLen = 4;
+constexpr std::size_t sumBytes = 8;
 
-/** Bytes read per step before the stream has proven it holds more. */
-constexpr std::size_t readChunk = std::size_t{16} << 20;
-
-/** Little-endian u64 at @p p (compiles to one load on LE hosts). */
-std::uint64_t
-loadLe64(const char *p)
+/** @p v in little-endian byte order (a no-op on LE hosts). */
+template <typename T>
+T
+littleEndian(T v)
 {
-    std::uint64_t v = 0;
-    for (unsigned i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(p[i]))
-             << (8 * i);
+    if constexpr (std::endian::native == std::endian::big) {
+        T r = 0;
+        for (unsigned i = 0; i < sizeof(T); ++i, v >>= 8)
+            r = static_cast<T>((r << 8) | (v & 0xff));
+        return r;
+    }
     return v;
 }
 
-void
-storeLe64(char *out, std::uint64_t v)
+template <typename T>
+T
+loadLe(const char *p)
 {
-    for (unsigned i = 0; i < 8; ++i)
-        out[i] = static_cast<char>((v >> (8 * i)) & 0xff);
+    T v = 0;
+    std::memcpy(&v, p, sizeof(v));
+    return littleEndian(v);
+}
+
+template <typename T>
+void
+storeLe(char *out, T v)
+{
+    v = littleEndian(v);
+    std::memcpy(out, &v, sizeof(v));
+}
+
+/** One step of the chunk sum: a bijection of @p h for a fixed @p w
+ *  and of @p w for a fixed @p h (DESIGN.md §11). */
+constexpr std::uint64_t
+mix(std::uint64_t h, std::uint64_t w)
+{
+    constexpr std::uint64_t k = 0x9e3779b97f4a7c15ull; // odd
+    return std::rotl((h ^ w) * k, 31);
 }
 
 /**
- * Section checksum (DESIGN.md §11): h = rotl((h ^ w) * k, 31) over the
- * payload's little-endian 8-byte words, then over its tail bytes, from
- * a seed that folds in the length. Each step is a bijection of h for a
- * fixed word and of the word for a fixed h, so changing any one word
- * or tail byte always changes the sum.
+ * Chunk sum (DESIGN.md §11): four lanes from a seed that folds in the
+ * length; word i of each 32-byte block goes into lane i, the words
+ * and tail bytes after the last whole block into lane 0, and the
+ * lanes are folded into lane 0 in order. Every step is a bijection of
+ * the word it takes and of its lane, so changing any one word or
+ * tail byte always changes the sum.
  */
 std::uint64_t
-checksum(const char *p, std::size_t n)
+chunkSum(const char *p, std::size_t n)
 {
-    constexpr std::uint64_t k = 0x9e3779b97f4a7c15ull; // odd
-    std::uint64_t h = 0xcbf29ce484222325ull ^ n;
+    const std::uint64_t seed = 0xcbf29ce484222325ull ^ n;
+    std::uint64_t h0 = seed, h1 = seed, h2 = seed, h3 = seed;
     std::size_t i = 0;
+    for (; i + 32 <= n; i += 32) {
+        h0 = mix(h0, loadLe<std::uint64_t>(p + i));
+        h1 = mix(h1, loadLe<std::uint64_t>(p + i + 8));
+        h2 = mix(h2, loadLe<std::uint64_t>(p + i + 16));
+        h3 = mix(h3, loadLe<std::uint64_t>(p + i + 24));
+    }
     for (; i + 8 <= n; i += 8)
-        h = std::rotl((h ^ loadLe64(p + i)) * k, 31);
+        h0 = mix(h0, loadLe<std::uint64_t>(p + i));
     for (; i < n; ++i)
-        h = std::rotl((h ^ static_cast<std::uint8_t>(p[i])) * k, 31);
-    return h;
-}
-
-void
-putLe32(std::string &out, std::uint32_t v)
-{
-    for (unsigned i = 0; i < 4; ++i)
-        out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-void
-putLe64(std::string &out, std::uint64_t v)
-{
-    for (unsigned i = 0; i < 8; ++i)
-        out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+        h0 = mix(h0, static_cast<std::uint8_t>(p[i]));
+    return mix(mix(mix(h0, h1), h2), h3);
 }
 
 } // namespace
 
-Writer::Writer(std::ostream &os) : os(os)
+Writer::Writer(std::ostream &os)
+    : os(os), chunk(std::make_unique_for_overwrite<char[]>(chunkBytes))
 {
-    std::string header(magic, magicLen);
-    putLe32(header, formatVersion);
-    os.write(header.data(), static_cast<std::streamsize>(header.size()));
+    char header[magicLen + 4];
+    std::memcpy(header, magic, magicLen);
+    storeLe(header + magicLen, formatVersion);
+    os.write(header, sizeof(header));
     if (!os)
         throw SnapshotError("checkpoint write failed (header)");
 }
@@ -96,8 +110,25 @@ Writer::beginSection(const char *tag)
     if (std::strlen(tag) != tagLen)
         throw SnapshotError(std::string("bad section tag '") + tag + "'");
     curTag.assign(tag, tagLen);
-    buf.clear();
+    os.write(tag, tagLen);
+    fill = 0;
     inSection = true;
+}
+
+void
+Writer::emitChunk()
+{
+    char head[4];
+    storeLe(head, static_cast<std::uint32_t>(fill));
+    char sum[sumBytes];
+    storeLe(sum, chunkSum(chunk.get(), fill));
+    os.write(head, sizeof(head));
+    os.write(chunk.get(), static_cast<std::streamsize>(fill));
+    os.write(sum, sizeof(sum));
+    if (!os)
+        throw SnapshotError("checkpoint write failed (section '" +
+                            curTag + "')");
+    fill = 0;
 }
 
 void
@@ -105,14 +136,10 @@ Writer::endSection()
 {
     if (!inSection)
         throw SnapshotError("endSection with no open section");
-    char head[tagLen + 8];
-    std::memcpy(head, curTag.data(), tagLen);
-    storeLe64(head + tagLen, buf.size());
-    char sum[8];
-    storeLe64(sum, checksum(buf.data(), buf.size()));
-    os.write(head, sizeof(head));
-    os.write(buf.data(), static_cast<std::streamsize>(buf.size()));
-    os.write(sum, sizeof(sum));
+    if (fill)
+        emitChunk();
+    const char closing[4] = {};
+    os.write(closing, sizeof(closing));
     if (!os)
         throw SnapshotError("checkpoint write failed (section '" +
                             curTag + "')");
@@ -131,61 +158,50 @@ Writer::finish()
 }
 
 void
-Writer::raw(const void *p, std::size_t n)
+Writer::putSlow(const void *p, std::size_t n)
 {
     if (!inSection)
         throw SnapshotError("checkpoint value written outside a section");
-    buf.append(static_cast<const char *>(p), n);
-}
-
-void
-Writer::u8(std::uint8_t v)
-{
-    raw(&v, 1);
+    const char *in = static_cast<const char *>(p);
+    while (n > chunkBytes - fill) {
+        const std::size_t part = chunkBytes - fill;
+        std::memcpy(chunk.get() + fill, in, part);
+        fill += part;
+        in += part;
+        n -= part;
+        emitChunk();
+    }
+    std::memcpy(chunk.get() + fill, in, n);
+    fill += n;
 }
 
 void
 Writer::u32(std::uint32_t v)
 {
-    if (!inSection)
-        throw SnapshotError("checkpoint value written outside a section");
-    putLe32(buf, v);
+    v = littleEndian(v);
+    put(&v, sizeof(v));
 }
 
 void
 Writer::u64(std::uint64_t v)
 {
-    if (!inSection)
-        throw SnapshotError("checkpoint value written outside a section");
-    putLe64(buf, v);
+    v = littleEndian(v);
+    put(&v, sizeof(v));
 }
 
 void
 Writer::f64(double v)
 {
-    std::uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(v), "double must be 64-bit");
-    std::memcpy(&bits, &v, sizeof(bits));
-    u64(bits);
-}
-
-void
-Writer::boolean(bool v)
-{
-    u8(v ? 1 : 0);
+    static_assert(sizeof(double) == sizeof(std::uint64_t),
+                  "double must be 64-bit");
+    u64(std::bit_cast<std::uint64_t>(v));
 }
 
 void
 Writer::str(const std::string &s)
 {
     u64(s.size());
-    raw(s.data(), s.size());
-}
-
-void
-Writer::bytes(const std::uint8_t *p, std::size_t n)
-{
-    raw(p, n);
+    put(s.data(), s.size());
 }
 
 void
@@ -198,7 +214,9 @@ Writer::rng(const Rng &r)
     u64(s1);
 }
 
-Reader::Reader(std::istream &is) : is(is)
+Reader::Reader(std::istream &is)
+    : is(is),
+      chunk(std::make_unique_for_overwrite<char[]>(chunkBytes + sumBytes))
 {
     char header[magicLen + 4];
     is.read(header, sizeof(header));
@@ -209,11 +227,7 @@ Reader::Reader(std::istream &is) : is(is)
     if (std::memcmp(header, magic, magicLen) != 0)
         throw SnapshotError(
             "bad checkpoint magic: this is not a CDP checkpoint file");
-    std::uint32_t version = 0;
-    for (unsigned i = 0; i < 4; ++i)
-        version |= static_cast<std::uint32_t>(
-                       static_cast<std::uint8_t>(header[magicLen + i]))
-                   << (8 * i);
+    const auto version = loadLe<std::uint32_t>(header + magicLen);
     if (version != formatVersion)
         throw SnapshotError(
             "checkpoint format version skew: file has version " +
@@ -240,42 +254,53 @@ Reader::enterSection(const char *tag)
             std::string("checkpoint section mismatch: expected '") + tag +
             "', found '" + std::string(frameTag, tagLen) +
             "' (file written by an incompatible layout?)");
-    char lenBytes[8];
-    is.read(lenBytes, 8);
-    if (is.gcount() != 8)
-        throw SnapshotError(std::string("truncated checkpoint: section '") +
-                            tag + "' header is cut off");
-    const std::uint64_t len = loadLe64(lenBytes);
-    // The length is untrusted: read in chunks no larger than what the
-    // stream has already delivered (or readChunk), so a hostile length
-    // allocates at most max(readChunk, twice what the stream holds).
-    payload.clear();
-    while (payload.size() < len) {
-        const std::size_t have = payload.size();
-        const std::size_t step = static_cast<std::size_t>(
-            std::min<std::uint64_t>(len - have,
-                                    std::max(have, readChunk)));
-        payload.resize(have + step);
-        is.read(&payload[have], static_cast<std::streamsize>(step));
-        if (is.gcount() != static_cast<std::streamsize>(step))
-            throw SnapshotError(
-                std::string("truncated checkpoint: section '") + tag +
-                "' promises " + std::to_string(len) +
-                " bytes, stream has " +
-                std::to_string(have + static_cast<std::size_t>(
-                                          is.gcount())));
-    }
-    char sumBytes[8];
-    is.read(sumBytes, 8);
-    if (is.gcount() != 8)
-        throw SnapshotError(std::string("truncated checkpoint: section '") +
-                            tag + "' checksum is cut off");
-    if (loadLe64(sumBytes) != checksum(payload.data(), payload.size()))
-        throw SnapshotError(std::string("corrupted checkpoint: section '") +
-                            tag + "' fails its checksum");
     curTag.assign(tag, tagLen);
-    pos = 0;
+    len = pos = 0;
+    chunkStart = 0;
+    ended = false;
     inSection = true;
+    pull();
+}
+
+void
+Reader::pull()
+{
+    chunkStart += len;
+    len = pos = 0;
+    const auto where = [this] {
+        return "section '" + curTag + "' chunk at offset " +
+               std::to_string(chunkStart);
+    };
+    char head[4];
+    is.read(head, sizeof(head));
+    if (is.gcount() != static_cast<std::streamsize>(sizeof(head)))
+        throw SnapshotError("truncated checkpoint: " + where() +
+                            " has no length");
+    // The length is unverified until the sum is: bound it before
+    // reading, so no value of it allocates or overruns anything.
+    const auto n = loadLe<std::uint32_t>(head);
+    if (n == 0) {
+        ended = true;
+        return;
+    }
+    if (n > chunkBytes)
+        throw SnapshotError("corrupted checkpoint: " + where() +
+                            " claims " + std::to_string(n) +
+                            " bytes, more than the " +
+                            std::to_string(chunkBytes) + "-byte limit");
+    is.read(chunk.get(), static_cast<std::streamsize>(n + sumBytes));
+    const auto got = static_cast<std::size_t>(is.gcount());
+    if (got < n)
+        throw SnapshotError("truncated checkpoint: " + where() +
+                            " promises " + std::to_string(n) +
+                            " bytes, stream has " + std::to_string(got));
+    if (got != n + sumBytes)
+        throw SnapshotError("truncated checkpoint: " + where() +
+                            " has its checksum cut off");
+    if (loadLe<std::uint64_t>(chunk.get() + n) != chunkSum(chunk.get(), n))
+        throw SnapshotError("corrupted checkpoint: " + where() +
+                            " fails its checksum");
+    len = n;
 }
 
 void
@@ -283,10 +308,10 @@ Reader::leaveSection()
 {
     if (!inSection)
         throw SnapshotError("leaveSection with no open section");
-    if (pos != payload.size())
-        fail("section payload has " +
-             std::to_string(payload.size() - pos) +
-             " unconsumed byte(s) — layout drift");
+    if (pos == len && !ended)
+        pull();
+    if (pos != len || !ended)
+        fail("section payload has unconsumed bytes — layout drift");
     inSection = false;
 }
 
@@ -298,51 +323,47 @@ Reader::finish()
 }
 
 void
-Reader::need(std::size_t n)
+Reader::takeSlow(void *p, std::size_t n)
 {
     if (!inSection)
         throw SnapshotError("checkpoint value read outside a section");
-    if (payload.size() - pos < n)
-        fail("payload exhausted reading a " + std::to_string(n) +
-             "-byte value");
-}
-
-std::uint8_t
-Reader::u8()
-{
-    need(1);
-    return static_cast<std::uint8_t>(payload[pos++]);
+    char *out = static_cast<char *>(p);
+    const std::size_t want = n;
+    for (;;) {
+        const std::size_t part = std::min(n, len - pos);
+        std::memcpy(out, chunk.get() + pos, part);
+        out += part;
+        pos += part;
+        n -= part;
+        if (n == 0)
+            return;
+        if (ended)
+            fail("payload exhausted reading a " + std::to_string(want) +
+                 "-byte value");
+        pull();
+    }
 }
 
 std::uint32_t
 Reader::u32()
 {
-    need(4);
     std::uint32_t v = 0;
-    for (unsigned i = 0; i < 4; ++i)
-        v |= static_cast<std::uint32_t>(
-                 static_cast<std::uint8_t>(payload[pos + i]))
-             << (8 * i);
-    pos += 4;
-    return v;
+    take(&v, sizeof(v));
+    return littleEndian(v);
 }
 
 std::uint64_t
 Reader::u64()
 {
-    need(8);
-    const std::uint64_t v = loadLe64(payload.data() + pos);
-    pos += 8;
-    return v;
+    std::uint64_t v = 0;
+    take(&v, sizeof(v));
+    return littleEndian(v);
 }
 
 double
 Reader::f64()
 {
-    const std::uint64_t bits = u64();
-    double v;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
+    return std::bit_cast<double>(u64());
 }
 
 bool
@@ -358,18 +379,16 @@ std::string
 Reader::str()
 {
     const std::uint64_t n = u64();
-    need(n);
-    std::string s = payload.substr(pos, n);
-    pos += n;
+    // Grow by at most a chunk per read, so a corrupt length allocates
+    // in proportion to the bytes the section really holds.
+    std::string s;
+    while (s.size() < n) {
+        const std::size_t at = s.size();
+        s.resize(at + static_cast<std::size_t>(
+                          std::min<std::uint64_t>(n - at, chunkBytes)));
+        take(s.data() + at, s.size() - at);
+    }
     return s;
-}
-
-void
-Reader::bytes(std::uint8_t *p, std::size_t n)
-{
-    need(n);
-    std::memcpy(p, payload.data() + pos, n);
-    pos += n;
 }
 
 void
@@ -403,7 +422,7 @@ void
 Reader::fail(const std::string &what) const
 {
     throw SnapshotError("checkpoint section '" + curTag + "' (offset " +
-                        std::to_string(pos) + "): " + what);
+                        std::to_string(chunkStart + pos) + "): " + what);
 }
 
 } // namespace snap

@@ -15,44 +15,23 @@ Scalar::Scalar(StatGroup &group, std::string name, std::string desc)
 }
 
 Distribution::Distribution(StatGroup &group, std::string name,
-                           std::string desc, double lo, double hi,
-                           unsigned nbuckets)
+                           std::string desc, std::uint64_t lo,
+                           std::uint64_t hi, unsigned nbuckets)
     : _name(std::move(name)), _desc(std::move(desc)), _lo(lo), _hi(hi),
-      _bucketWidth((hi - lo) / (nbuckets ? nbuckets : 1)),
-      _buckets(nbuckets ? nbuckets : 1, 0),
-      _min(std::numeric_limits<double>::max()),
-      _max(std::numeric_limits<double>::lowest())
+      _bucketWidth(std::max<std::uint64_t>(
+          (hi - lo) / (nbuckets ? nbuckets : 1), 1)),
+      _buckets(nbuckets ? nbuckets : 1, 0)
 {
     group.add(this);
-}
-
-void
-Distribution::sample(double v)
-{
-    ++_count;
-    _sum += v;
-    _min = std::min(_min, v);
-    _max = std::max(_max, v);
-    if (v < _lo) {
-        ++_underflow;
-    } else if (v >= _hi) {
-        ++_overflow;
-    } else {
-        auto idx = static_cast<std::size_t>((v - _lo) / _bucketWidth);
-        if (idx >= _buckets.size())
-            idx = _buckets.size() - 1;
-        ++_buckets[idx];
-    }
 }
 
 void
 Distribution::reset()
 {
     std::fill(_buckets.begin(), _buckets.end(), 0);
-    _underflow = _overflow = _count = 0;
-    _sum = 0.0;
-    _min = std::numeric_limits<double>::max();
-    _max = std::numeric_limits<double>::lowest();
+    _underflow = _overflow = _count = _sum = 0;
+    _min = std::numeric_limits<std::uint64_t>::max();
+    _max = 0;
 }
 
 void
@@ -61,7 +40,7 @@ Distribution::print(std::ostream &os) const
     os << _name << " count=" << _count;
     if (_count) {
         os << std::fixed << std::setprecision(6) << " mean=" << mean()
-           << " min=" << _min << " max=" << _max;
+           << " min=" << double(_min) << " max=" << double(_max);
     }
     os << " buckets=[";
     for (std::size_t i = 0; i < _buckets.size(); ++i) {
@@ -112,9 +91,9 @@ Distribution::saveState(snap::Writer &w) const
     w.u64(_underflow);
     w.u64(_overflow);
     w.u64(_count);
-    w.f64(_sum);
-    w.f64(_min);
-    w.f64(_max);
+    w.u64(_sum);
+    w.u64(_min);
+    w.u64(_max);
 }
 
 void
@@ -130,9 +109,9 @@ Distribution::loadState(snap::Reader &r)
     _underflow = r.u64();
     _overflow = r.u64();
     _count = r.u64();
-    _sum = r.f64();
-    _min = r.f64();
-    _max = r.f64();
+    _sum = r.u64();
+    _min = r.u64();
+    _max = r.u64();
 }
 
 namespace

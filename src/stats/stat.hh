@@ -19,7 +19,9 @@
 #ifndef CDP_STATS_STAT_HH
 #define CDP_STATS_STAT_HH
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -60,8 +62,10 @@ class Scalar
 };
 
 /**
- * A fixed-bucket histogram. Samples outside the configured range are
- * accumulated in underflow/overflow buckets so no sample is lost.
+ * A fixed-bucket histogram of whole-number samples (cycles, depths).
+ * Samples outside the configured range are accumulated in
+ * underflow/overflow buckets so no sample is lost. Sampling is
+ * integer arithmetic only; the mean is computed when printed.
  */
 class Distribution
 {
@@ -70,26 +74,42 @@ class Distribution
 
     /**
      * Register a histogram covering [lo, hi) with @p nbuckets equal
-     * buckets.
+     * buckets of (hi - lo) / nbuckets (at least 1); a sample past the
+     * last whole bucket but below @p hi lands in the last one.
      */
     Distribution(StatGroup &group, std::string name, std::string desc,
-                 double lo, double hi, unsigned nbuckets);
+                 std::uint64_t lo, std::uint64_t hi, unsigned nbuckets);
 
     /** Record one sample. */
-    void sample(double v);
+    void
+    sample(std::uint64_t v)
+    {
+        ++_count;
+        _sum += v;
+        _min = std::min(_min, v);
+        _max = std::max(_max, v);
+        if (v < _lo) {
+            ++_underflow;
+        } else if (v >= _hi) {
+            ++_overflow;
+        } else {
+            const std::uint64_t idx = (v - _lo) / _bucketWidth;
+            ++_buckets[std::min<std::uint64_t>(idx, _buckets.size() - 1)];
+        }
+    }
 
     void reset();
 
     std::uint64_t count() const { return _count; }
-    double mean() const { return _count ? _sum / _count : 0.0; }
-    double min() const { return _min; }
-    double max() const { return _max; }
+    double mean() const { return _count ? double(_sum) / _count : 0.0; }
+    std::uint64_t min() const { return _min; }
+    std::uint64_t max() const { return _max; }
     const std::vector<std::uint64_t> &buckets() const { return _buckets; }
     std::uint64_t underflow() const { return _underflow; }
     std::uint64_t overflow() const { return _overflow; }
     const std::string &name() const { return _name; }
 
-    /** Print "name mean=... [bucket counts]". */
+    /** Print "name count=... mean=... min=... max=... buckets=[...]". */
     void print(std::ostream &os) const;
 
     /** Serialize the mutable sample state (checkpointing). */
@@ -102,16 +122,16 @@ class Distribution
     // cdplint: transient(_name, _desc, _lo, _hi, _bucketWidth) -- registration identity and bucket geometry are construction-time; loadState cross-checks geometry instead of overwriting it
     std::string _name;
     std::string _desc;
-    double _lo = 0.0;
-    double _hi = 1.0;
-    double _bucketWidth = 1.0;
+    std::uint64_t _lo = 0;
+    std::uint64_t _hi = 1;
+    std::uint64_t _bucketWidth = 1;
     std::vector<std::uint64_t> _buckets;
     std::uint64_t _underflow = 0;
     std::uint64_t _overflow = 0;
     std::uint64_t _count = 0;
-    double _sum = 0.0;
-    double _min = 0.0;
-    double _max = 0.0;
+    std::uint64_t _sum = 0;
+    std::uint64_t _min = std::numeric_limits<std::uint64_t>::max();
+    std::uint64_t _max = 0;
 };
 
 /**

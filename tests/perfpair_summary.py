@@ -6,7 +6,9 @@ Every BENCH_*.json at the repository root that carries paired runs
 runs: medians, inclusive quartiles, the relative change and the
 better-pair count must come out as committed, so the tool writes the
 schema those files already use. Also checks that differing digests are
-refused and that the EXPERIMENTS.md table renders.
+refused, that the EXPERIMENTS.md table renders, and that --compare
+flags nothing for a file against itself and the set-up gain of
+BENCH_build.json against BENCH_noise.json.
 
 Usage: perfpair_summary.py <repository root>
 """
@@ -70,6 +72,22 @@ def main():
         errors.append("check_digests accepted differing digests")
     except pp.DigestMismatch:
         pass
+
+    noise = json.loads((root / "BENCH_noise.json").read_text())
+    build = json.loads((root / "BENCH_build.json").read_text())
+    moved = [r[:3] for r in pp.compare(noise, noise) if r[-1]]
+    if moved:
+        errors.append(f"--compare of BENCH_noise.json with itself "
+                      f"flagged {moved}")
+    moved = {r[:3] for r in pp.compare(noise, build) if r[-1]}
+    for seed in (1, 2002):
+        if (f"pointer-chase/seed{seed}", "setup_s", "parent") not in moved:
+            errors.append(f"--compare of BENCH_noise.json with "
+                          f"BENCH_build.json missed pointer-chase seed "
+                          f"{seed} setup_s: flagged {sorted(moved)}")
+    if "| moved |" not in pp.compare_table(pp.compare(noise, build),
+                                           "A", "B"):
+        errors.append("compare table did not render")
 
     for e in errors:
         print(e)

@@ -14,8 +14,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <numeric>
 #include <sstream>
+#include <streambuf>
 #include <string>
+#include <vector>
 
 #include "sim/simulator.hh"
 #include "snapshot/ckpt_io.hh"
@@ -43,6 +48,133 @@ checkpointAfterWarmup(Simulator &sim, std::uint64_t warm_uops)
     sim.saveCheckpoint(os);
     return os.str();
 }
+
+/** Little-endian value of @p n bytes of @p s at @p pos. */
+std::uint64_t
+loadLe(const std::string &s, std::size_t pos, unsigned n)
+{
+    std::uint64_t v = 0;
+    for (unsigned i = 0; i < n; ++i)
+        v |= static_cast<std::uint64_t>(
+                 static_cast<std::uint8_t>(s[pos + i]))
+             << (8 * i);
+    return v;
+}
+
+/** Where a section of a checkpoint's bytes lies. */
+struct SectionFrame
+{
+    std::size_t tag = 0;            //!< offset of the 4-byte tag
+    std::vector<std::size_t> chunks; //!< offsets of the chunk lengths
+    std::size_t closing = 0;        //!< offset of the zero length
+};
+
+/** The framing of section @p tag, walked from the 12-byte header;
+ *  fails the test when @p ckpt has no such section. */
+SectionFrame
+findSection(const std::string &ckpt, const char *tag)
+{
+    std::size_t pos = 12;
+    while (pos + 8 <= ckpt.size()) {
+        SectionFrame f;
+        f.tag = pos;
+        pos += 4;
+        for (std::uint64_t len; pos + 4 <= ckpt.size() &&
+                                (len = loadLe(ckpt, pos, 4)) != 0;
+             pos += 4 + len + 8)
+            f.chunks.push_back(pos);
+        f.closing = pos;
+        pos += 4;
+        if (ckpt.compare(f.tag, 4, tag) == 0)
+            return f;
+    }
+    ADD_FAILURE() << "no section " << tag;
+    return {};
+}
+
+/** @p ckpt with the u32 chunk length at @p at set to @p len. */
+std::string
+withChunkLength(std::string ckpt, std::size_t at, std::uint32_t len)
+{
+    for (unsigned i = 0; i < 4; ++i)
+        ckpt[at + i] = static_cast<char>((len >> (8 * i)) & 0xff);
+    return ckpt;
+}
+
+/**
+ * An input stream buffer over a string that counts what it hands
+ * out. It keeps no get area, so every read the checkpoint Reader
+ * makes goes through xsgetn and is counted.
+ */
+class CountingSource : public std::streambuf
+{
+  public:
+    explicit CountingSource(std::string bytes) : data(std::move(bytes)) {}
+
+    std::size_t pulled() const { return at; }
+    std::size_t largestRead() const { return largest; }
+
+  protected:
+    std::streamsize
+    xsgetn(char *s, std::streamsize n) override
+    {
+        largest = std::max(largest, static_cast<std::size_t>(n));
+        const std::size_t k =
+            std::min(static_cast<std::size_t>(n), data.size() - at);
+        std::memcpy(s, data.data() + at, k);
+        at += k;
+        return static_cast<std::streamsize>(k);
+    }
+
+    int_type
+    underflow() override
+    {
+        return at < data.size() ? traits_type::to_int_type(data[at])
+                                : traits_type::eof();
+    }
+
+    int_type
+    uflow() override
+    {
+        return at < data.size() ? traits_type::to_int_type(data[at++])
+                                : traits_type::eof();
+    }
+
+  private:
+    std::string data;
+    std::size_t at = 0;
+    std::size_t largest = 0;
+};
+
+/** An output stream buffer that only counts what is written to it. */
+class CountingSink : public std::streambuf
+{
+  public:
+    std::size_t emitted() const { return total; }
+    std::size_t largestWrite() const { return largest; }
+
+  protected:
+    std::streamsize
+    xsputn(const char *, std::streamsize n) override
+    {
+        total += static_cast<std::size_t>(n);
+        largest = std::max(largest, static_cast<std::size_t>(n));
+        return n;
+    }
+
+    int_type
+    overflow(int_type c) override
+    {
+        if (traits_type::eq_int_type(c, traits_type::eof()))
+            return traits_type::not_eof(c);
+        ++total;
+        return c;
+    }
+
+  private:
+    std::size_t total = 0;
+    std::size_t largest = 0;
+};
 
 /**
  * The differential harness: straight run vs checkpoint + restore into
@@ -322,53 +454,106 @@ TEST_F(SnapshotCorruption, VersionSkewIsRejectedWithBothVersions)
         << err;
 }
 
-TEST_F(SnapshotCorruption, FormatSixFileIsRejected)
+TEST_F(SnapshotCorruption, FormatSevenFileIsRejected)
 {
-    // Format 6 carried the stride prefetcher unconditionally and
-    // has/lacks flags for next-line and Markov in MSYS; format 7
-    // carries the count and names of the built prefetchers, so a
-    // format-6 file fails the version check instead of misreading MSYS.
-    ASSERT_EQ(snap::formatVersion, 7u);
+    // Format 7 framed a section as one u64 length, the whole payload
+    // and one sum; format 8 frames it as checksummed chunks of at most
+    // 64 KiB, so a format-7 file fails the version check instead of
+    // having its section length read as a chunk length.
+    ASSERT_EQ(snap::formatVersion, 8u);
     std::string old = bytes;
-    old[8] = 6; // little-endian u32 right after the magic
+    old[8] = 7; // little-endian u32 right after the magic
     const std::string err = restoreError(old);
     EXPECT_NE(err.find("version skew"), std::string::npos) << err;
-    EXPECT_NE(err.find("file has version 6"), std::string::npos) << err;
-    EXPECT_NE(err.find("reads version 7"), std::string::npos) << err;
+    EXPECT_NE(err.find("file has version 7"), std::string::npos) << err;
+    EXPECT_NE(err.find("reads version 8"), std::string::npos) << err;
 }
 
-namespace
+TEST_F(SnapshotCorruption, ChunkLengthOverTheLimitIsRefusedBeforeAnyRead)
 {
-
-/** @p ckpt with the first section's (CFG!) length set to @p len. */
-std::string
-withFirstSectionLength(std::string ckpt, std::uint64_t len)
-{
-    for (unsigned i = 0; i < 8; ++i)
-        ckpt[16 + i] = static_cast<char>((len >> (8 * i)) & 0xff);
-    return ckpt;
+    // 2^32 - 1: refused as soon as the length is read, so nothing is
+    // read, let alone allocated, on the strength of it.
+    const SectionFrame cfg = findSection(bytes, "CFG!");
+    ASSERT_FALSE(cfg.chunks.empty());
+    const std::size_t at = cfg.chunks[0];
+    CountingSource src(withChunkLength(bytes, at, 0xffffffffu));
+    std::istream is(&src);
+    snap::Reader r(is);
+    try {
+        r.enterSection("CFG!");
+        FAIL() << "a 4 GiB chunk length was accepted";
+    } catch (const snap::SnapshotError &e) {
+        const std::string err = e.what();
+        EXPECT_NE(err.find("corrupted checkpoint: section 'CFG!'"),
+                  std::string::npos)
+            << err;
+        EXPECT_NE(err.find("claims 4294967295 bytes, more than the "
+                           "65536-byte limit"),
+                  std::string::npos)
+            << err;
+    }
+    EXPECT_EQ(src.pulled(), at + 4);
 }
-
-} // namespace
 
 TEST_F(SnapshotCorruption, HugeSectionLengthIsTruncationNotBadAlloc)
 {
-    const std::string err =
-        restoreError(withFirstSectionLength(bytes, std::uint64_t{1} << 62));
-    EXPECT_NE(err.find("truncated checkpoint"), std::string::npos) << err;
-    EXPECT_NE(err.find("'CFG!' promises 4611686018427387904 bytes"),
-              std::string::npos)
-        << err;
+    // The largest accepted chunk length in a stream that holds far
+    // less: the read stops at the stream's end and fails as a
+    // truncation naming the section, having asked for one chunk.
+    const SectionFrame cfg = findSection(bytes, "CFG!");
+    ASSERT_FALSE(cfg.chunks.empty());
+    const std::size_t at = cfg.chunks[0];
+    CountingSource src(
+        withChunkLength(bytes, at, snap::chunkBytes).substr(0, at + 104));
+    std::istream is(&src);
+    snap::Reader r(is);
+    try {
+        r.enterSection("CFG!");
+        FAIL() << "a chunk longer than the stream was accepted";
+    } catch (const snap::SnapshotError &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "truncated checkpoint: section 'CFG!' chunk at "
+                      "offset 0 promises 65536 bytes, stream has 100"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_LE(src.largestRead(), snap::chunkBytes + 8);
 }
 
 TEST_F(SnapshotCorruption, SectionLengthBeyondTheStreamIsTruncation)
 {
-    // 3 GB: read in bounded chunks, so this fails after reading what
-    // the stream holds instead of allocating the promised length.
+    // STAT's last chunk claims a full chunk: the read runs past the
+    // trailer into the end of the stream and fails naming STAT.
+    const SectionFrame stat = findSection(bytes, "STAT");
+    ASSERT_FALSE(stat.chunks.empty());
+    const std::size_t at = stat.chunks.back();
+    const std::size_t len = loadLe(bytes, at, 4);
+    ASSERT_LT(len + 8 + 4 + 8, snap::chunkBytes);
+    std::size_t start = 0;
+    for (const std::size_t c : stat.chunks)
+        start += c == at ? 0 : loadLe(bytes, c, 4);
     const std::string err =
-        restoreError(withFirstSectionLength(bytes, 3ull << 30));
-    EXPECT_NE(err.find("'CFG!' promises 3221225472 bytes, stream has " +
-                       std::to_string(bytes.size() - 24)),
+        restoreError(withChunkLength(bytes, at, snap::chunkBytes));
+    EXPECT_NE(err.find("truncated checkpoint: section 'STAT' chunk at "
+                       "offset " +
+                       std::to_string(start) + " promises 65536 bytes, "
+                                               "stream has " +
+                       std::to_string(bytes.size() - at - 4)),
+              std::string::npos)
+        << err;
+}
+
+TEST_F(SnapshotCorruption, FlippedByteInALaterChunkFailsItsChecksum)
+{
+    const SectionFrame stor = findSection(bytes, "STOR");
+    ASSERT_GE(stor.chunks.size(), 3u);
+    std::string damaged = bytes;
+    damaged[stor.chunks[2] + 4 + 1000] ^= 0x20;
+    const std::string err = restoreError(damaged);
+    EXPECT_NE(err.find("corrupted checkpoint: section 'STOR' chunk at "
+                       "offset " +
+                       std::to_string(2 * snap::chunkBytes) +
+                       " fails its checksum"),
               std::string::npos)
         << err;
 }
@@ -416,10 +601,21 @@ TEST_F(SnapshotCorruption, WrongWorkloadNamesBothWorkloads)
 
 TEST(SnapshotChecksum, EveryBitFlipFailsTheChecksum)
 {
-    // Payloads of 0..100 bytes cover the 8-byte word path and every
-    // tail length; a flipped bit in the payload or in the stored sum
-    // must always be caught.
-    for (std::size_t n = 0; n <= 100; ++n) {
+    // Payloads of 0..100 bytes cover the four lanes, the words after
+    // the last whole block and every tail length; 64 KiB - 1, 64 KiB
+    // and 64 KiB + 1 cover a chunk one byte short of full, a full
+    // chunk, and a full chunk followed by a one-byte chunk. A flipped
+    // bit in a payload or a stored sum must fail that chunk's
+    // checksum; a flipped bit in a chunk or closing length must fail
+    // some way. Small payloads flip every bit; the large ones flip
+    // every framing bit, every bit within 100 bytes of a chunk's ends
+    // and a stride of the bits between.
+    std::vector<std::size_t> sizes(101);
+    std::iota(sizes.begin(), sizes.end(), 0);
+    for (const std::size_t n :
+         {snap::chunkBytes - 1, snap::chunkBytes, snap::chunkBytes + 1})
+        sizes.push_back(n);
+    for (const std::size_t n : sizes) {
         std::string payload(n, '\0');
         for (std::size_t i = 0; i < n; ++i)
             payload[i] = static_cast<char>(i * 37 + n);
@@ -428,26 +624,171 @@ TEST(SnapshotChecksum, EveryBitFlipFailsTheChecksum)
         w.beginSection("TEST");
         w.bytes(reinterpret_cast<const std::uint8_t *>(payload.data()), n);
         w.endSection();
-        const std::string clean = os.str();
-        const std::size_t first = 12 + 4 + 8; // header, tag, length
-        ASSERT_EQ(clean.size(), first + n + 8);
-        for (std::size_t bit = first * 8; bit < clean.size() * 8; ++bit) {
-            std::string damaged = clean;
-            damaged[bit / 8] = static_cast<char>(damaged[bit / 8] ^
-                                                 (1 << (bit % 8)));
+        std::string damaged = os.str();
+
+        // Which bytes are lengths, and which bytes a flip must trip
+        // a sum on (payload and sum): walk the framing after the tag.
+        std::vector<char> isLength(damaged.size(), 0);
+        std::vector<char> nearEnd(damaged.size(), 0);
+        std::size_t pos = 16;
+        for (std::uint64_t len;; pos += 4 + len + 8) {
+            ASSERT_LE(pos + 4, damaged.size());
+            std::fill_n(isLength.begin() + pos, 4, 1);
+            len = loadLe(damaged, pos, 4);
+            if (len == 0)
+                break;
+            ASSERT_LE(len, snap::chunkBytes);
+            for (std::size_t i = 0; i < len + 8; ++i)
+                nearEnd[pos + 4 + i] = i < 100 || i + 100 >= len + 8;
+        }
+        ASSERT_EQ(pos + 4, damaged.size());
+        ASSERT_EQ(damaged.size(),
+                  16 + n + 12 * ((n + snap::chunkBytes - 1) /
+                                 snap::chunkBytes) + 4);
+
+        for (std::size_t bit = 16 * 8; bit < damaged.size() * 8; ++bit) {
+            const std::size_t at = bit / 8;
+            if (n > 100 && !isLength[at] && !nearEnd[at] && bit % 509)
+                continue;
+            const char mask = static_cast<char>(1 << (bit % 8));
+            damaged[at] ^= mask;
             std::istringstream is(damaged);
+            damaged[at] ^= mask;
             snap::Reader r(is);
+            std::vector<std::uint8_t> back(n);
             try {
                 r.enterSection("TEST");
+                r.bytes(back.data(), n);
+                r.leaveSection();
                 ADD_FAILURE() << "flip of bit " << bit << " with a "
                               << n << "-byte payload went unnoticed";
             } catch (const snap::SnapshotError &e) {
-                ASSERT_NE(std::string(e.what()).find("fails its checksum"),
-                          std::string::npos)
-                    << e.what();
+                if (!isLength[at]) {
+                    ASSERT_NE(std::string(e.what()).find(
+                                  "fails its checksum"),
+                              std::string::npos)
+                        << "bit " << bit << ": " << e.what();
+                }
             }
         }
     }
+}
+
+TEST(SnapshotChecksum, ValuesStraddlingAChunkBoundaryRoundTrip)
+{
+    // 65533 filler bytes leave three bytes of the first chunk: the
+    // u64 after them is split 3 + 5 across the chunks.
+    const std::string filler(snap::chunkBytes - 3, 'f');
+    std::ostringstream os;
+    snap::Writer w(os);
+    w.beginSection("TEST");
+    w.bytes(reinterpret_cast<const std::uint8_t *>(filler.data()),
+            filler.size());
+    w.u64(0x0123456789abcdefull);
+    w.str("straddle");
+    w.f64(-2.5);
+    w.boolean(true);
+    w.endSection();
+    w.finish();
+    const std::string ckpt = os.str();
+    const SectionFrame f = findSection(ckpt, "TEST");
+    ASSERT_EQ(f.chunks.size(), 2u);
+    EXPECT_EQ(loadLe(ckpt, f.chunks[0], 4), snap::chunkBytes);
+    EXPECT_EQ(loadLe(ckpt, f.chunks[1], 4), 5u + 16u + 8u + 1u);
+
+    std::istringstream is(ckpt);
+    snap::Reader r(is);
+    r.enterSection("TEST");
+    std::string back(filler.size(), '\0');
+    r.bytes(reinterpret_cast<std::uint8_t *>(back.data()), back.size());
+    EXPECT_EQ(back, filler);
+    EXPECT_EQ(r.u64(), 0x0123456789abcdefull);
+    EXPECT_EQ(r.str(), "straddle");
+    EXPECT_EQ(r.f64(), -2.5);
+    EXPECT_TRUE(r.boolean());
+    r.leaveSection();
+    r.finish();
+}
+
+TEST(SnapshotChecksum, HugeStringLengthIsExhaustionNotBadAlloc)
+{
+    // A string length of 2^62 in a verified chunk: the read grows the
+    // string a chunk at a time and fails where the section ends.
+    std::ostringstream os;
+    snap::Writer w(os);
+    w.beginSection("TEST");
+    w.u64(std::uint64_t{1} << 62);
+    w.u64(7);
+    w.endSection();
+    std::istringstream is(os.str());
+    snap::Reader r(is);
+    r.enterSection("TEST");
+    try {
+        r.str();
+        FAIL() << "a 2^62-byte string was read from 8 bytes";
+    } catch (const snap::SnapshotError &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "checkpoint section 'TEST' (offset 16): payload "
+                      "exhausted"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(SnapshotChecksum, NeitherSideHoldsMoreThanOneChunk)
+{
+    // Writer: over a megabyte of mixed values, no more than one chunk
+    // of payload is ever staged unwritten, and no single write to the
+    // stream is larger than a chunk.
+    {
+        CountingSink sink;
+        std::ostream os(&sink);
+        snap::Writer w(os);
+        w.beginSection("TEST");
+        const std::vector<std::uint8_t> block(1000, 0x5a);
+        std::size_t written = 0;
+        for (std::uint64_t i = 0; written < (std::size_t{1} << 20); ++i) {
+            w.u64(i);
+            w.bytes(block.data(), block.size());
+            w.u32(static_cast<std::uint32_t>(i));
+            written += 8 + block.size() + 4;
+            // 16 bytes of header and tag precede the payload.
+            ASSERT_LE(written + 16, sink.emitted() + snap::chunkBytes)
+                << "after " << written << " payload bytes";
+        }
+        w.endSection();
+        EXPECT_LE(sink.largestWrite(), snap::chunkBytes);
+    }
+
+    // Reader: entering verilog-gate's STOR (megabytes of frames)
+    // pulls one chunk and its framing, and a whole restore never asks
+    // the stream for more than a chunk and its sum at once.
+    SimConfig c;
+    c.workload = "verilog-gate";
+    Simulator saver(c);
+    CountingSink sink;
+    std::ostream counted(&sink);
+    saver.saveCheckpoint(counted);
+    EXPECT_LE(sink.largestWrite(), snap::chunkBytes);
+    std::ostringstream os;
+    saver.saveCheckpoint(os);
+    const std::string ckpt = os.str();
+    EXPECT_EQ(sink.emitted(), ckpt.size());
+
+    const SectionFrame stor = findSection(ckpt, "STOR");
+    ASSERT_GT(stor.chunks.size(), 16u);
+    CountingSource src(ckpt.substr(0, 12) + ckpt.substr(stor.tag));
+    std::istream is(&src);
+    snap::Reader r(is);
+    r.enterSection("STOR");
+    EXPECT_LE(src.pulled(), 12 + 4 + 4 + snap::chunkBytes + 8);
+
+    CountingSource whole(ckpt);
+    std::istream wis(&whole);
+    Simulator fork(c);
+    fork.restoreCheckpoint(wis);
+    EXPECT_EQ(whole.pulled(), ckpt.size());
+    EXPECT_LE(whole.largestRead(), snap::chunkBytes + 8);
 }
 
 TEST(SnapshotRoundTrip, RestoreReusesAndDropsFrames)

@@ -153,26 +153,41 @@ fnv1a(const char *p, std::size_t n)
     return h;
 }
 
+/** Little-endian value of @p n bytes of @p s at @p pos. */
+std::uint64_t
+loadLe(const std::string &s, std::size_t pos, unsigned n)
+{
+    std::uint64_t v = 0;
+    for (unsigned i = 0; i < n; ++i)
+        v |= static_cast<std::uint64_t>(
+                 static_cast<std::uint8_t>(s[pos + i]))
+             << (8 * i);
+    return v;
+}
+
 /**
  * The payload of section @p tag in checkpoint bytes @p ckpt, found by
- * walking the container framing (12-byte header, then tag, u64
- * length, payload and u64 checksum per section). Only the framing is
- * assumed, not the checksum or the version, so the pinned values
+ * walking the container framing (12-byte header, then per section a
+ * tag and chunks of u32 length, payload and u64 checksum up to a zero
+ * length) and joining the section's chunk payloads. Only the framing
+ * is assumed, not the checksum or the version, so the pinned values
  * below survive a format bump that leaves the payloads alone.
  */
 std::string
 sectionPayload(const std::string &ckpt, const char *tag)
 {
     std::size_t pos = 12;
-    while (pos + 12 <= ckpt.size()) {
-        std::uint64_t len = 0;
-        for (unsigned i = 0; i < 8; ++i)
-            len |= static_cast<std::uint64_t>(
-                       static_cast<std::uint8_t>(ckpt[pos + 4 + i]))
-                   << (8 * i);
-        if (ckpt.compare(pos, 4, tag) == 0)
-            return ckpt.substr(pos + 12, len);
-        pos += 12 + len + 8;
+    while (pos + 8 <= ckpt.size()) {
+        const bool match = ckpt.compare(pos, 4, tag) == 0;
+        std::string payload;
+        pos += 4;
+        for (std::uint64_t len; pos + 4 <= ckpt.size() &&
+                                (len = loadLe(ckpt, pos, 4)) != 0;
+             pos += 4 + len + 8)
+            payload += ckpt.substr(pos + 4, len);
+        pos += 4;
+        if (match)
+            return payload;
     }
     ADD_FAILURE() << "no section " << tag;
     return {};

@@ -10,7 +10,9 @@ contract structural:
   - observer code may not name the Stat types (Scalar, Distribution,
     StatGroup) — a tracer that bumps a counter changes the dump;
   - observer code may not call the mutating entry points of the
-    memory system / simulator objects.
+    memory system / simulator objects. A call whose receiver the
+    checked code declares with a std:: type (a std::unique_ptr's
+    release(), say) is on a library object, not a simulator one.
 
 Scope: every file under src/obs/, plus out-of-line `Tracer::` member
 definitions anywhere in the tree.
@@ -38,6 +40,38 @@ _MUTATORS = {"allocate", "release", "promote", "requeueFront",
              "scanAndEnqueue", "enqueuePrefetch", "issuePrefetch",
              "completeFill", "drainAll", "drainPrefetches",
              "maybeInjectPollution", "reinforceOnHit"}
+
+
+def _std_declared(toks, lo, hi):
+    """Names declared in toks[lo:hi) with a std:: type: locals,
+    parameters and members spelled `[const] std::T[<...>] [&|*] name`
+    followed by one of `; = ( { , ) [`."""
+    names = set()
+    j = lo
+    while j + 2 < hi:
+        if not (toks[j].kind == IDENT and toks[j].text == "std" and
+                toks[j + 1].text == "::"):
+            j += 1
+            continue
+        k = j + 2
+        while k + 1 < hi and toks[k].kind == IDENT and \
+                toks[k + 1].text == "::":
+            k += 2
+        k += 1  # the type name
+        if k < hi and toks[k].text == "<":
+            depth = 0
+            while k < hi:
+                depth += {"<": 1, ">": -1, ">>": -2}.get(toks[k].text, 0)
+                k += 1
+                if depth <= 0:
+                    break
+        while k < hi and toks[k].text in ("const", "&", "&&", "*"):
+            k += 1
+        if k + 1 < hi and toks[k].kind == IDENT and \
+                toks[k + 1].text in (";", "=", "(", "{", ",", ")", "["):
+            names.add(toks[k].text)
+        j += 2
+    return names
 
 
 @rule
@@ -82,6 +116,7 @@ class ObserverPurity:
     def _check_span(self, ctx, lo, hi, includes):
         toks = ctx.tokens
         n = len(toks)
+        std_objects = _std_declared(toks, lo, min(hi + 1, n))
         for j in range(lo, min(hi + 1, n)):
             t = toks[j]
             if includes and t.kind == PP and \
@@ -110,7 +145,8 @@ class ObserverPurity:
             if t.text in _MUTATORS and j > 0 and \
                     toks[j - 1].kind == PUNCT and \
                     toks[j - 1].text in (".", "->") and \
-                    j + 1 < n and toks[j + 1].text == "(":
+                    j + 1 < n and toks[j + 1].text == "(" and \
+                    toks[j - 2].text not in std_objects:
                 yield Finding(
                     self.id, ctx.path, t.line, t.col,
                     f"observer code calls mutating method "

@@ -7,6 +7,7 @@ Usage (from the root of a checkout):
         [--seeds N ...] [--pairs P] [--seconds S] [--trace-pairs K]
         [--out BENCH_x.json] [--title TEXT] [--workdir DIR]
     python3 tools/perfpair.py --base REV --digests-only [--seeds N ...]
+    python3 tools/perfpair.py --compare A.json B.json
 
 REV is checked out in a `git worktree` under the work directory. Each
 side is built and run through its own perfbench/run.py, with its own
@@ -28,6 +29,13 @@ they differ, 2 on any other failure.
 
 --base HEAD pairs the checkout with its own commit: on a clean tree
 that measures the host's run-to-run spread.
+
+--compare A B runs nothing. It re-summarizes two committed BENCH
+files: for every workload/seed both carry, every summary metric and
+each series (the parent runs and the change runs), it compares B's
+median with A's and flags the metric when it moved by more than the
+interquartile range of A's runs. With A a --base HEAD file, that asks
+whether B's series lies outside the host's run-to-run spread.
 """
 
 import argparse
@@ -44,7 +52,8 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("pointer-chase", "compute-resident", "warm-fork-sweep")
 SUMMARY_METRICS = ("sim_uops_per_s", "wall_s", "setup_s", "peak_rss_mb")
 LEDGER_METRICS = ("workloads.build_s", "workloads.next_ns_per_uop",
-                  "sweep.fork_ctor_s", "snapshot.restore_s")
+                  "sweep.fork_ctor_s", "snapshot.save_s",
+                  "snapshot.restore_s", "snapshot.bytes")
 
 
 class Side:
@@ -196,6 +205,39 @@ def result_block(parent, change, seconds, higher):
     return block
 
 
+def compare(a, b):
+    """The --compare rows of BENCH dicts @a and @b: (workload/seed,
+    metric, series, A median, A IQR, B median, moved) for every
+    block, summary metric and series both carry."""
+    rows = []
+    for key, ra in a["results"].items():
+        rb = b["results"].get(key)
+        if rb is None:
+            continue
+        for m in SUMMARY_METRICS:
+            for series in ("parent", "change"):
+                runs = f"{series}_runs"
+                if runs not in ra.get(m, {}) or runs not in rb.get(m, {}):
+                    continue
+                am = statistics.median(ra[m][runs])
+                q1, q3 = quartiles(ra[m][runs])
+                bm = statistics.median(rb[m][runs])
+                rows.append((key, m, series, am, q3 - q1, bm,
+                             abs(bm - am) > q3 - q1))
+    return rows
+
+
+def compare_table(rows, a_name, b_name):
+    out = [f"| workload / seed | metric | series | {a_name} median "
+           f"(IQR) | {b_name} median | moved |",
+           "|---|---|---|---|---|---|"]
+    for key, m, series, am, iqr, bm, moved in rows:
+        out.append(f"| {key} | {m} | {series} | {fmt(m, am)} "
+                   f"({fmt(m, iqr)}) | {fmt(m, bm)} | "
+                   f"{'**yes**' if moved else 'no'} |")
+    return "\n".join(out)
+
+
 def git(*args, cwd=ROOT):
     return subprocess.run(["git", *args], cwd=cwd, check=True, text=True,
                           stdout=subprocess.PIPE).stdout.strip()
@@ -203,7 +245,12 @@ def git(*args, cwd=ROOT):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--base", required=True, help="base revision")
+    mode = ap.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--base", help="base revision")
+    mode.add_argument("--compare", nargs=2, type=Path,
+                      metavar=("A", "B"),
+                      help="flag the medians of BENCH file B that lie "
+                           "outside the IQR of A's runs")
     ap.add_argument("--workloads", nargs="+", default=list(WORKLOADS))
     ap.add_argument("--seeds", nargs="+", type=int, default=[1, 2002])
     ap.add_argument("--pairs", type=int, default=10)
@@ -217,6 +264,11 @@ def main():
                          "temporary one, removed at exit)")
     args = ap.parse_args()
 
+    if args.compare:
+        a, b = (json.loads(p.read_text()) for p in args.compare)
+        print(compare_table(compare(a, b), args.compare[0].name,
+                            args.compare[1].name))
+        return 0
     try:
         sha = git("rev-parse", "--verify", f"{args.base}^{{commit}}")
     except subprocess.CalledProcessError:

@@ -20,6 +20,7 @@ Distribution::Distribution(StatGroup &group, std::string name,
     : _name(std::move(name)), _desc(std::move(desc)), _lo(lo), _hi(hi),
       _bucketWidth(std::max<std::uint64_t>(
           (hi - lo) / (nbuckets ? nbuckets : 1), 1)),
+      _widthRecip(~std::uint64_t{0} / _bucketWidth),
       _buckets(nbuckets ? nbuckets : 1, 0)
 {
     group.add(this);

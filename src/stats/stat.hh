@@ -65,7 +65,8 @@ class Scalar
  * A fixed-bucket histogram of whole-number samples (cycles, depths).
  * Samples outside the configured range are accumulated in
  * underflow/overflow buckets so no sample is lost. Sampling is
- * integer arithmetic only; the mean is computed when printed.
+ * integer arithmetic only, with no divide; the mean is computed when
+ * printed.
  */
 class Distribution
 {
@@ -93,8 +94,13 @@ class Distribution
         } else if (v >= _hi) {
             ++_overflow;
         } else {
-            const std::uint64_t idx = (v - _lo) / _bucketWidth;
-            ++_buckets[std::min<std::uint64_t>(idx, _buckets.size() - 1)];
+            // (v - lo) / width by a multiply: q is the quotient or one
+            // less, and the remainder test corrects it.
+            const std::uint64_t x = v - _lo;
+            std::uint64_t q = static_cast<std::uint64_t>(
+                (static_cast<unsigned __int128>(x) * _widthRecip) >> 64);
+            q += x - q * _bucketWidth >= _bucketWidth;
+            ++_buckets[std::min<std::uint64_t>(q, _buckets.size() - 1)];
         }
     }
 
@@ -119,12 +125,13 @@ class Distribution
     void loadState(snap::Reader &r);
 
   private:
-    // cdplint: transient(_name, _desc, _lo, _hi, _bucketWidth) -- registration identity and bucket geometry are construction-time; loadState cross-checks geometry instead of overwriting it
+    // cdplint: transient(_name, _desc, _lo, _hi, _bucketWidth, _widthRecip) -- registration identity and bucket geometry are construction-time; loadState cross-checks geometry instead of overwriting it
     std::string _name;
     std::string _desc;
     std::uint64_t _lo = 0;
     std::uint64_t _hi = 1;
     std::uint64_t _bucketWidth = 1;
+    std::uint64_t _widthRecip = ~std::uint64_t{0}; //!< (2^64 - 1) / width
     std::vector<std::uint64_t> _buckets;
     std::uint64_t _underflow = 0;
     std::uint64_t _overflow = 0;

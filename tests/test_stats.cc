@@ -226,6 +226,13 @@ TEST(Distribution, BucketPlacement)
     d.sample(19);
     EXPECT_EQ(d.buckets()[0], 2u);
     EXPECT_EQ(d.buckets()[9], 1u);
+
+    // Every value of [0, 700) lands in bucket v / 7.
+    Distribution e(g, "e", "", 0, 700, 100);
+    for (std::uint64_t v = 0; v < 700; ++v)
+        e.sample(v);
+    for (const std::uint64_t b : e.buckets())
+        EXPECT_EQ(b, 7u);
 }
 
 TEST(Distribution, ResetClearsEverything)

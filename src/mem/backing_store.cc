@@ -9,33 +9,20 @@
 namespace cdp
 {
 
-BackingStore::Frame *
-BackingStore::addFrame(Addr page)
-{
-    Frame *f;
-    if (!spare.empty()) {
-        f = spare.back();
-        spare.pop_back();
-    } else {
-        if (chunkLeft == 0) {
-            chunks.push_back(
-                std::make_unique_for_overwrite<Frame[]>(framesPerChunk));
-            chunkLeft = framesPerChunk;
-        }
-        f = &chunks.back()[framesPerChunk - chunkLeft--];
-    }
-    frames.reserve(frames.size() + 1);
-    frames.emplace(page, f);
-    return f;
-}
-
 BackingStore::Frame &
 BackingStore::frameFor(Addr pa)
 {
     if (Frame *f = find(pa))
         return *f;
-    Frame *f = addFrame(pageAlign(pa));
+    if (chunkLeft == 0) {
+        chunks.push_back(
+            std::make_unique_for_overwrite<Frame[]>(framesPerChunk));
+        chunkLeft = framesPerChunk;
+    }
+    Frame *f = &chunks.back()[framesPerChunk - chunkLeft--];
     f->fill(0);
+    frames.reserve(frames.size() + 1);
+    frames.emplace(pageAlign(pa), f);
     return *f;
 }
 
@@ -98,53 +85,44 @@ BackingStore::write(Addr pa, const std::uint8_t *src, Addr len)
         write8(pa + i, src[i]);
 }
 
+std::vector<Addr>
+BackingStore::pages() const
+{
+    // Key-sorted: the index is hash-ordered, the digest must not be.
+    std::vector<Addr> out;
+    out.reserve(frames.size());
+    frames.forEach([&](Addr page, Frame *) { out.push_back(page); });
+    std::sort(out.begin(), out.end());
+    return out;
+}
+
+std::uint64_t
+BackingStore::digest() const
+{
+    std::vector<std::uint64_t> pairs;
+    pairs.reserve(2 * frames.size());
+    for (const Addr page : pages()) {
+        pairs.push_back(pageNumber(page));
+        pairs.push_back(snap::chunkSum(find(page)->data(), pageBytes));
+    }
+    return snap::chunkSum(pairs.data(),
+                          pairs.size() * sizeof(std::uint64_t));
+}
+
 void
 BackingStore::saveState(snap::Writer &w) const
 {
-    // Key-sorted: the index is hash-ordered, the checkpoint must be
-    // byte-deterministic.
-    std::vector<Addr> pages;
-    pages.reserve(frames.size());
-    frames.forEach([&](Addr page, Frame *) { pages.push_back(page); });
-    std::sort(pages.begin(), pages.end());
-
-    w.u64(pages.size());
-    for (const Addr page : pages) {
-        w.u32(pageNumber(page));
-        w.bytes(find(page)->data(), pageBytes);
-    }
+    w.u64(frames.size());
+    w.u64(digest());
 }
 
 void
 BackingStore::loadState(snap::Reader &r)
 {
-    const std::uint64_t n = r.u64();
-    std::vector<Addr> kept; // page bases the checkpoint holds, ascending
-    for (std::uint64_t i = 0; i < n; ++i) {
-        const Addr page = r.u32();
-        if (page > pageNumber(~Addr{0}))
-            r.fail("backing-store page number " + std::to_string(page) +
-                   " lies beyond the 32-bit physical space");
-        const Addr base = page << pageShift;
-        if (!kept.empty() && base <= kept.back())
-            r.fail("backing-store page numbers not strictly increasing");
-        Frame *f = find(base);
-        if (!f)
-            f = addFrame(base);
-        r.bytes(f->data(), pageBytes);
-        kept.push_back(base);
-    }
-    // Drop the frames the checkpoint lacks; their pages read zero.
-    std::vector<Addr> stale;
-    frames.forEach([&](Addr page, Frame *) {
-        if (!std::binary_search(kept.begin(), kept.end(), page))
-            stale.push_back(page);
-    });
-    for (const Addr page : stale) {
-        spare.push_back(find(page));
-        frames.erase(page);
-    }
-    lastPage = ~Addr{0};
+    r.expectU64(frames.size(), "materialized frame count");
+    if (r.u64() != digest())
+        r.fail("memory image differs from this machine's (checkpoint "
+               "written by another build of the workload builders?)");
 }
 
 } // namespace cdp

@@ -71,9 +71,8 @@ class BackingStore
 
     /**
      * Host pointer to the base of the frame holding @p pa,
-     * materializing it zero-filled. Frames never move; only
-     * loadState() takes one away (a page the checkpoint lacks), so
-     * callers memoizing the pointer must reset on restore.
+     * materializing it zero-filled. Frames never move and are never
+     * taken away, so the pointer stays valid for the store's lifetime.
      */
     std::uint8_t *pageData(Addr pa) { return frameFor(pa).data(); }
 
@@ -89,13 +88,26 @@ class BackingStore
         return f ? f->data() : nullptr;
     }
 
-    /** Serialize every materialized frame in page-number order. */
+    /** Page base addresses of the materialized frames, ascending. */
+    std::vector<Addr> pages() const;
+
+    /**
+     * Digest of the memory image: snap::chunkSum over one (page
+     * number, chunkSum of the frame's bytes) pair of u64s per frame,
+     * in ascending page order (DESIGN.md §11).
+     */
+    std::uint64_t digest() const;
+
+    /** Serialize the materialized frame count and digest(). */
     void saveState(snap::Writer &w) const;
 
     /**
-     * Replace all contents with the checkpointed frames: frames this
-     * store already holds are overwritten in place, the ones the
-     * checkpoint lacks are dropped (they read as zero again).
+     * Verify that this store holds the checkpointed memory image:
+     * refuse a frame count or digest() that differs from the saved
+     * one, naming STOR. Nothing is written, added or dropped. Nothing
+     * writes simulated memory after construction, so any machine
+     * built from the same guarded config by the same code holds the
+     * saver's image.
      */
     void loadState(snap::Reader &r);
 
@@ -129,17 +141,13 @@ class BackingStore
     /** Get the frame holding @p pa, creating it zero-filled. */
     Frame &frameFor(Addr pa);
 
-    /** Index a frame with unspecified contents for page base @p page. */
-    Frame *addFrame(Addr page);
-
     /** Page base address -> frame. */
     LineMap<Frame *> frames{0};
-    // cdplint: transient(chunks, chunkLeft, spare) -- arena storage behind frames; the frames' contents travel through frames
+    // cdplint: transient(chunks, chunkLeft) -- arena storage behind frames; the frames' contents travel through frames
     std::vector<std::unique_ptr<Frame[]>> chunks;
-    std::size_t chunkLeft = 0;  //!< unused frames in chunks.back()
-    std::vector<Frame *> spare; //!< frames dropped by loadState
+    std::size_t chunkLeft = 0; //!< unused frames in chunks.back()
 
-    // cdplint: transient(lastPage, lastFrame) -- one-entry memo over the frame index; only materialized frames are cached and loadState resets it
+    // cdplint: transient(lastPage, lastFrame) -- one-entry memo over the frame index; only materialized frames are cached, and they never go away
     /**
      * The last frame find() returned: the page walker and the line
      * reads of one fill burst mostly revisit the same few pages.

@@ -70,20 +70,6 @@ QueuedArbiter::enqueue(const MemRequest &req)
     return EnqueueResult::Accepted;
 }
 
-void
-QueuedArbiter::requeueFront(const MemRequest &req)
-{
-    queues[req.priority()].push_front(req);
-    noteResident(req.lineVa);
-    ++total;
-    // The request re-enters the resident population, reversing its
-    // earlier dequeue in the conservation ledger.
-    CDP_CHECK(issuedCount > 0);
-    --issuedCount;
-    if (issued.value() > 0)
-        issued.set(issued.value() - 1);
-}
-
 std::optional<MemRequest>
 QueuedArbiter::dequeue()
 {
@@ -114,6 +100,8 @@ std::optional<MemRequest>
 QueuedArbiter::extractPrefetch(Addr line_va)
 {
     const Addr la = lineAlign(line_va);
+    if (!residentLines.contains(la))
+        return std::nullopt;
     for (unsigned p = 1; p < numPriorities; ++p) {
         auto &q = queues[p];
         for (std::size_t i = 0; i < q.size(); ++i) {

@@ -77,12 +77,6 @@ class QueuedArbiter
     }
 
     /**
-     * Put a request back at the *front* of its priority class (used
-     * when the drain logic pops a request it cannot issue yet).
-     */
-    void requeueFront(const MemRequest &req);
-
-    /**
      * Is a request for the virtual line @p line_va resident in any
      * class? The L2 arbiter sits before address translation in our
      * pipeline, so matching is by virtual line address.

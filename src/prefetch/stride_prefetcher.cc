@@ -13,7 +13,8 @@ StridePrefetcher::StridePrefetcher(unsigned table_entries, unsigned degree,
                                    StatGroup *stats)
     : Prefetcher("stride", MissStream::L1, stats,
                  "stride prefetches issued"),
-      table(table_entries), degree(degree), confThreshold(conf_threshold)
+      table(table_entries), tableIndex(table_entries), degree(degree),
+      confThreshold(conf_threshold)
 {
     if (degree > maxPrefetchesPerMiss)
         throw std::invalid_argument(
@@ -25,7 +26,7 @@ PrefetchList
 StridePrefetcher::predict(Addr pc, Addr vaddr)
 {
     PrefetchList out;
-    Entry &e = table[(pc >> 2) % table.size()];
+    Entry &e = table[tableIndex.mod(pc >> 2)];
 
     if (!e.valid || e.pcTag != pc) {
         e.pcTag = pc;

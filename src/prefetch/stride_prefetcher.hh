@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/rng.hh"
 #include "common/types.hh"
 #include "prefetch/prefetcher.hh"
 #include "prefetch/recent_issues.hh"
@@ -32,7 +33,7 @@ class StridePrefetcher : public Prefetcher
 {
   public:
     /**
-     * @param table_entries RPT entries (direct mapped on PC)
+     * @param table_entries RPT entries (direct mapped on PC), >= 1
      * @param degree lines prefetched ahead once confident
      * @param conf_threshold confidence needed before prefetching
      * @param stats group to register stride.* in (nullptr: none)
@@ -67,6 +68,8 @@ class StridePrefetcher : public Prefetcher
     PrefetchList predict(Addr pc, Addr vaddr) override;
 
     std::vector<Entry> table;
+    // cdplint: transient(tableIndex) -- derived from the table size, which the checkpoint guards
+    Rng::Divisor tableIndex; //!< x % table.size(), with no divide
     // cdplint: transient(degree, confThreshold) -- construction-time policy knobs; the restoring side's own config governs
     unsigned degree;
     unsigned confThreshold;

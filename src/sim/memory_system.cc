@@ -262,16 +262,11 @@ MemorySystem::drainPrefetches(Cycle now)
     // after it was enqueued -- which may lie anywhere inside the
     // window the core just skipped over.
     while (drainPool > 0 && !l2Arbiter.empty()) {
-        auto req = l2Arbiter.dequeue();
-        if (!req)
-            break;
-        const Cycle t = std::max(req->enqueued, bus.freeCycle());
-        if (t > now) {
-            // Bus stays busy past the current horizon; retry on the
-            // next advance.
-            l2Arbiter.requeueFront(*req);
-            break;
-        }
+        const MemRequest *head = l2Arbiter.peek();
+        const Cycle t = std::max(head->enqueued, bus.freeCycle());
+        if (t > now)
+            break; // bus busy past the horizon; retry next advance
+        const auto req = l2Arbiter.dequeue();
         --drainPool;
         if (trc.active())
             trc.record(obs::EventKind::ArbGrant, t, req->lineVa,

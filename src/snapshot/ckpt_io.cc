@@ -59,6 +59,8 @@ mix(std::uint64_t h, std::uint64_t w)
     return std::rotl((h ^ w) * k, 31);
 }
 
+} // namespace
+
 /**
  * Chunk sum (DESIGN.md §11): four lanes from a seed that folds in the
  * length; word i of each 32-byte block goes into lane i, the words
@@ -68,8 +70,9 @@ mix(std::uint64_t h, std::uint64_t w)
  * tail byte always changes the sum.
  */
 std::uint64_t
-chunkSum(const char *p, std::size_t n)
+chunkSum(const void *data, std::size_t n)
 {
+    const char *p = static_cast<const char *>(data);
     const std::uint64_t seed = 0xcbf29ce484222325ull ^ n;
     std::uint64_t h0 = seed, h1 = seed, h2 = seed, h3 = seed;
     std::size_t i = 0;
@@ -85,8 +88,6 @@ chunkSum(const char *p, std::size_t n)
         h0 = mix(h0, static_cast<std::uint8_t>(p[i]));
     return mix(mix(mix(h0, h1), h2), h3);
 }
-
-} // namespace
 
 Writer::Writer(std::ostream &os)
     : os(os), chunk(std::make_unique_for_overwrite<char[]>(chunkBytes))

@@ -51,10 +51,18 @@ namespace snap
 {
 
 /** Current checkpoint format version (bump on layout changes). */
-constexpr std::uint32_t formatVersion = 8;
+constexpr std::uint32_t formatVersion = 9;
 
 /** Most payload bytes one chunk carries. */
 constexpr std::size_t chunkBytes = std::size_t{64} << 10;
+
+/**
+ * The four-lane chunk sum over @p n bytes at @p p (DESIGN.md §11):
+ * changing any one 8-byte word or tail byte always changes it. Every
+ * chunk carries one; the STOR section's memory-image digest is built
+ * from it too.
+ */
+std::uint64_t chunkSum(const void *p, std::size_t n);
 
 /**
  * Any failure to serialize or deserialize a checkpoint: truncation,

@@ -7,9 +7,9 @@
  * together. A checkpoint is a sequence of tagged sections:
  *
  *   CFG!  guarded configuration (name/value pairs, compared on load)
- *   STOR  BackingStore (sparse physical pages)
+ *   STOR  BackingStore frame count + memory-image digest (verified)
  *   FRAM  FrameAllocator
- *   PGTB  PageTable roots (table content lives in STOR)
+ *   PGTB  PageTable roots (table content lives in the memory image)
  *   HEAP  HeapAllocator bump state
  *   WKLD  workload generator (name-guarded)
  *   MSYS  MemorySystem (caches, TLB, prefetchers, arbiter ledger)

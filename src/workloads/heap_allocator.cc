@@ -183,7 +183,7 @@ HeapAllocator::loadState(snap::Reader &r)
                " the page table maps");
     top = saved_top;
     mappedTo = saved_end;
-    // Frames may have moved or gone with the backing store's restore.
+    // Sized to the restored mapped end; refills on first touch.
     pageHost.assign(pages, nullptr);
     r.rng(rng);
 }

@@ -100,7 +100,8 @@ class HeapAllocator
      * Host bytes of [va, va + n), n being @p bytes cut at the end of
      * va's page, with the frame materialized: the builders write whole
      * nodes and regions through these spans, one translation per page
-     * instead of one per word. Valid until loadState().
+     * instead of one per word. Frames never move, so the span stays
+     * valid for the store's lifetime.
      */
     std::span<std::uint8_t>
     hostSpan(Addr va, Addr bytes)

@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <iterator>
 #include <vector>
 
 #include "common/rng.hh"
 #include "mem/backing_store.hh"
+#include "snapshot/ckpt_io.hh"
 
 using namespace cdp;
 
@@ -93,6 +95,44 @@ TEST(BackingStore, FramesMaterializeLazily)
     EXPECT_EQ(m.framesTouched(), 1u);
     m.write8(0x10000, 3); // new frame
     EXPECT_EQ(m.framesTouched(), 2u);
+}
+
+TEST(BackingStore, DigestCoversPageNumbersAndBytesInPageOrder)
+{
+    // The same image built in two orders has one digest: the chunk
+    // sum over (page number, frame sum) pairs in ascending page order.
+    BackingStore a, b;
+    const Addr pages[] = {0x7000, 0x1000, 0x42000, 0x3000};
+    for (const Addr page : pages)
+        a.write32(page + 0x10, static_cast<std::uint32_t>(page));
+    for (auto it = std::rbegin(pages); it != std::rend(pages); ++it)
+        b.write32(*it + 0x10, static_cast<std::uint32_t>(*it));
+    EXPECT_EQ(a.pages(), (std::vector<Addr>{0x1000, 0x3000, 0x7000,
+                                            0x42000}));
+    std::vector<std::uint64_t> pairs;
+    for (const Addr page : a.pages()) {
+        pairs.push_back(pageNumber(page));
+        pairs.push_back(
+            snap::chunkSum(a.pageDataIfPresent(page), pageBytes));
+    }
+    EXPECT_EQ(a.digest(),
+              snap::chunkSum(pairs.data(), pairs.size() * 8));
+    EXPECT_EQ(a.digest(), b.digest());
+
+    // One flipped bit, one more frame (even all zeros), or the same
+    // bytes on another page each change it.
+    const std::uint64_t built = a.digest();
+    a.write8(0x3fff, 0x80);
+    EXPECT_NE(a.digest(), built);
+    a.write8(0x3fff, 0);
+    EXPECT_EQ(a.digest(), built);
+    a.pageData(0x9000);
+    EXPECT_NE(a.digest(), built);
+    BackingStore moved;
+    for (const Addr page : pages)
+        moved.write32(page + pageBytes + 0x10,
+                      static_cast<std::uint32_t>(page));
+    EXPECT_NE(moved.digest(), built);
 }
 
 /** Property: random word writes read back exactly. */

@@ -287,25 +287,49 @@ TEST(HeapAllocator, DenseMapAgreesWithPageTable)
     expectReadsAgree(a, a.heap, rng);
     expectReadsAgree(a, a.globals, rng);
 
+    std::stringstream image;
+    a.save(image);
+
     // A second machine maps its pages to other frames (globals first,
-    // different sizes) and fills its maps; restoring the first
-    // machine's image must leave no stale frame behind.
+    // different sizes): its memory image differs, and the restore
+    // refuses it at STOR.
     Machine b;
     Rng other(99);
     populate(b.globals, other, 300);
     populate(b.heap, other, 900);
     expectReadsAgree(b, b.heap, other);
     expectReadsAgree(b, b.globals, other);
+    try {
+        b.restore(image);
+        ADD_FAILURE() << "a different memory image was restored";
+    } catch (const snap::SnapshotError &e) {
+        EXPECT_NE(std::string(e.what()).find("checkpoint section 'STOR'"),
+                  std::string::npos)
+            << e.what();
+    }
 
-    std::stringstream image;
-    a.save(image);
-    b.restore(image);
-    EXPECT_EQ(b.heap.heapTop(), a.heap.heapTop());
-    expectReadsAgree(b, b.heap, rng);
-    expectReadsAgree(b, b.globals, rng);
+    // A third machine builds the first one's image but fills its maps
+    // in another order (globals first, other probes); after restoring
+    // the first machine's checkpoint its maps still agree with its
+    // page table, and it reads what the first machine reads.
+    Machine c;
+    Rng same(5);
+    populate(c.heap, same, 600);
+    populate(c.globals, same, 200);
+    c.heap.write32(fresh, 0x600dbeefu);
+    Rng probes(77);
+    expectReadsAgree(c, c.globals, probes);
+    expectReadsAgree(c, c.heap, probes);
+
+    image.clear();
+    image.seekg(0);
+    c.restore(image);
+    EXPECT_EQ(c.heap.heapTop(), a.heap.heapTop());
+    expectReadsAgree(c, c.heap, rng);
+    expectReadsAgree(c, c.globals, rng);
     for (Addr va = a.heap.heapBase(); va + 4 <= a.heap.heapTop();
          va += 52)
-        EXPECT_EQ(b.heap.read32(va), a.heap.read32(va)) << std::hex << va;
+        EXPECT_EQ(c.heap.read32(va), a.heap.read32(va)) << std::hex << va;
 }
 
 namespace

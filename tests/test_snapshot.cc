@@ -454,19 +454,19 @@ TEST_F(SnapshotCorruption, VersionSkewIsRejectedWithBothVersions)
         << err;
 }
 
-TEST_F(SnapshotCorruption, FormatSevenFileIsRejected)
+TEST_F(SnapshotCorruption, FormatEightFileIsRejected)
 {
-    // Format 7 framed a section as one u64 length, the whole payload
-    // and one sum; format 8 frames it as checksummed chunks of at most
-    // 64 KiB, so a format-7 file fails the version check instead of
-    // having its section length read as a chunk length.
-    ASSERT_EQ(snap::formatVersion, 8u);
+    // Format 8 carried every materialized frame in STOR; format 9
+    // carries the frame count and a digest of the memory image, so a
+    // format-8 file fails the version check instead of having its
+    // first page number read as a digest.
+    ASSERT_EQ(snap::formatVersion, 9u);
     std::string old = bytes;
-    old[8] = 7; // little-endian u32 right after the magic
+    old[8] = 8; // little-endian u32 right after the magic
     const std::string err = restoreError(old);
     EXPECT_NE(err.find("version skew"), std::string::npos) << err;
-    EXPECT_NE(err.find("file has version 7"), std::string::npos) << err;
-    EXPECT_NE(err.find("reads version 8"), std::string::npos) << err;
+    EXPECT_NE(err.find("file has version 8"), std::string::npos) << err;
+    EXPECT_NE(err.find("reads version 9"), std::string::npos) << err;
 }
 
 TEST_F(SnapshotCorruption, ChunkLengthOverTheLimitIsRefusedBeforeAnyRead)
@@ -545,12 +545,12 @@ TEST_F(SnapshotCorruption, SectionLengthBeyondTheStreamIsTruncation)
 
 TEST_F(SnapshotCorruption, FlippedByteInALaterChunkFailsItsChecksum)
 {
-    const SectionFrame stor = findSection(bytes, "STOR");
-    ASSERT_GE(stor.chunks.size(), 3u);
+    const SectionFrame msys = findSection(bytes, "MSYS");
+    ASSERT_GE(msys.chunks.size(), 3u);
     std::string damaged = bytes;
-    damaged[stor.chunks[2] + 4 + 1000] ^= 0x20;
+    damaged[msys.chunks[2] + 4 + 1000] ^= 0x20;
     const std::string err = restoreError(damaged);
-    EXPECT_NE(err.find("corrupted checkpoint: section 'STOR' chunk at "
+    EXPECT_NE(err.find("corrupted checkpoint: section 'MSYS' chunk at "
                        "offset " +
                        std::to_string(2 * snap::chunkBytes) +
                        " fails its checksum"),
@@ -760,9 +760,10 @@ TEST(SnapshotChecksum, NeitherSideHoldsMoreThanOneChunk)
         EXPECT_LE(sink.largestWrite(), snap::chunkBytes);
     }
 
-    // Reader: entering verilog-gate's STOR (megabytes of frames)
-    // pulls one chunk and its framing, and a whole restore never asks
-    // the stream for more than a chunk and its sum at once.
+    // Reader: entering verilog-gate's MSYS (caches, TLB and
+    // prefetcher tables over many chunks) pulls one chunk and its
+    // framing, and a whole restore never asks the stream for more
+    // than a chunk and its sum at once.
     SimConfig c;
     c.workload = "verilog-gate";
     Simulator saver(c);
@@ -775,12 +776,12 @@ TEST(SnapshotChecksum, NeitherSideHoldsMoreThanOneChunk)
     const std::string ckpt = os.str();
     EXPECT_EQ(sink.emitted(), ckpt.size());
 
-    const SectionFrame stor = findSection(ckpt, "STOR");
-    ASSERT_GT(stor.chunks.size(), 16u);
-    CountingSource src(ckpt.substr(0, 12) + ckpt.substr(stor.tag));
+    const SectionFrame msys = findSection(ckpt, "MSYS");
+    ASSERT_GT(msys.chunks.size(), 4u);
+    CountingSource src(ckpt.substr(0, 12) + ckpt.substr(msys.tag));
     std::istream is(&src);
     snap::Reader r(is);
-    r.enterSection("STOR");
+    r.enterSection("MSYS");
     EXPECT_LE(src.pulled(), 12 + 4 + 4 + snap::chunkBytes + 8);
 
     CountingSource whole(ckpt);
@@ -791,37 +792,88 @@ TEST(SnapshotChecksum, NeitherSideHoldsMoreThanOneChunk)
     EXPECT_LE(whole.largestRead(), snap::chunkBytes + 8);
 }
 
-TEST(SnapshotRoundTrip, RestoreReusesAndDropsFrames)
+TEST(SnapshotRoundTrip, RestoreVerifiesTheMemoryImage)
 {
     SimConfig c;
     c.workload = "speech";
     Simulator saver(c);
     const std::string ckpt = checkpointAfterWarmup(saver, 20'000);
-    const std::size_t saved_frames =
-        saver.heap().backingStore().framesTouched();
 
-    // A page beyond the frame allocator's range: the saver never has
-    // it, so the restore must drop it.
+    const auto restoreError = [&](Simulator &fork) -> std::string {
+        std::istringstream is(ckpt);
+        try {
+            fork.restoreCheckpoint(is);
+        } catch (const snap::SnapshotError &e) {
+            return e.what();
+        }
+        return "";
+    };
+
+    // One byte of the fork's heap differs from the saver's: refused
+    // naming STOR, before any state is applied, so putting the byte
+    // back lets the same machine restore.
     Simulator fork(c);
     BackingStore &store = fork.heap().backingStore();
-    const Addr extra = c.physFrames * pageBytes + 0x40;
-    store.write32(extra, 0xdeadbeef);
-    std::istringstream first(ckpt);
-    fork.restoreCheckpoint(first);
-    EXPECT_EQ(store.framesTouched(), saved_frames);
-    EXPECT_EQ(store.read32(extra), 0u);
+    const Addr pa =
+        *fork.heap().pageTable().translate(fork.heap().heapBase()) + 123;
+    const std::uint8_t byte = store.read8(pa);
+    store.write8(pa, byte ^ 0x01);
+    std::string err = restoreError(fork);
+    EXPECT_NE(err.find("checkpoint section 'STOR'"), std::string::npos)
+        << err;
+    EXPECT_NE(err.find("memory image differs from this machine's"),
+              std::string::npos)
+        << err;
+    store.write8(pa, byte);
+    EXPECT_EQ(restoreError(fork), "");
     const std::string dump = dumpStats(fork);
     EXPECT_EQ(dump, dumpStats(saver));
 
-    // Restoring again over the restored machine, every frame now
-    // reused in place, gives the same machine.
-    std::istringstream second(ckpt);
-    fork.restoreCheckpoint(second);
-    EXPECT_EQ(store.framesTouched(), saved_frames);
+    // Restoring again over the restored machine gives the same
+    // machine.
+    EXPECT_EQ(restoreError(fork), "");
     EXPECT_EQ(dumpStats(fork), dump);
     saver.measure(20'000);
     fork.measure(20'000);
     EXPECT_EQ(dumpStats(fork), dumpStats(saver));
+
+    // One extra materialized frame, even all zeros: refused naming
+    // STOR, and the restore adds, drops and writes no frame.
+    Simulator extra(c);
+    BackingStore &more = extra.heap().backingStore();
+    const std::size_t built = more.framesTouched();
+    more.pageData(c.physFrames * pageBytes);
+    err = restoreError(extra);
+    EXPECT_NE(err.find("checkpoint section 'STOR'"), std::string::npos)
+        << err;
+    EXPECT_NE(err.find("materialized frame count mismatch: checkpoint "
+                       "has " +
+                       std::to_string(built) + ", this simulator has " +
+                       std::to_string(built + 1)),
+              std::string::npos)
+        << err;
+    EXPECT_EQ(more.framesTouched(), built + 1);
+}
+
+TEST(SnapshotWriter, CheckpointLeavesTheMemoryImageOut)
+{
+    // STOR is 16 bytes, the frame count and the digest, however large
+    // the image: a warmed verilog-gate machine holds about 10 MB of
+    // frames and checkpoints in well under 1.5 MB.
+    SimConfig c;
+    c.workload = "verilog-gate";
+    Simulator sim(c);
+    const std::string ckpt = checkpointAfterWarmup(sim, 200'000);
+    const BackingStore &store = sim.heap().backingStore();
+    EXPECT_GT(store.framesTouched() * pageBytes, std::size_t{9} << 20);
+    EXPECT_LT(ckpt.size(), std::size_t{3} << 19);
+
+    const SectionFrame stor = findSection(ckpt, "STOR");
+    ASSERT_EQ(stor.chunks.size(), 1u);
+    const std::size_t at = stor.chunks[0];
+    EXPECT_EQ(loadLe(ckpt, at, 4), 16u);
+    EXPECT_EQ(loadLe(ckpt, at + 4, 8), store.framesTouched());
+    EXPECT_EQ(loadLe(ckpt, at + 12, 8), store.digest());
 }
 
 TEST(SnapshotWriter, CheckpointBytesAreDeterministic)

@@ -98,6 +98,30 @@ TEST(Stride, PcAliasingRetrains)
     EXPECT_TRUE(pf.observeMiss(0x400, 0x1040).empty()); // retag again
 }
 
+TEST(Stride, TableIndexIsPcModuloEntries)
+{
+    // Direct mapped on (pc >> 2) % entries at any entry count
+    // stride.entries allows: pc + 4 * entries shares pc's entry and
+    // retags it, pc + 4 has an entry of its own (given two or more).
+    for (const unsigned entries :
+         {1u, 2u, 3u, 7u, 255u, 256u, 257u, 65535u, 65536u}) {
+        for (const Addr pc : {Addr{0x400}, Addr{0x7ffc0}}) {
+            for (const Addr other : {pc + 4 * entries, pc + 4}) {
+                StridePrefetcher pf(entries, 1, 2);
+                pf.observeMiss(pc, 0x1000);
+                pf.observeMiss(pc, 0x1040);
+                pf.observeMiss(pc, 0x1080); // one short of confident
+                pf.observeMiss(other, 0x9000);
+                const bool shared =
+                    (other >> 2) % entries == (pc >> 2) % entries;
+                EXPECT_EQ(pf.observeMiss(pc, 0x10c0).empty(), shared)
+                    << entries << " entries, pc " << pc << " and "
+                    << other;
+            }
+        }
+    }
+}
+
 TEST(Stride, ConfidenceLostOnBrokenPattern)
 {
     StridePrefetcher pf(256, 1, 2);

@@ -140,25 +140,6 @@ TEST_F(TimingFixture, RescansConsumeDrainSlots)
     EXPECT_GE(c.maskFullCdp + c.maskPartialCdp, 4u);
 }
 
-TEST_F(TimingFixture, ArbiterRequeueFrontPreservesOrder)
-{
-    QueuedArbiter a(8);
-    MemRequest r1{}, r2{};
-    r1.type = ReqType::ContentPrefetch;
-    r1.lineVa = 0x1000;
-    r2.type = ReqType::ContentPrefetch;
-    r2.lineVa = 0x2000;
-    a.enqueue(r1);
-    a.enqueue(r2);
-    auto got = a.dequeue();
-    ASSERT_TRUE(got.has_value());
-    EXPECT_EQ(got->lineVa, 0x1000u);
-    a.requeueFront(*got);
-    // Front position restored: the same request comes out first.
-    EXPECT_EQ(a.dequeue()->lineVa, 0x1000u);
-    EXPECT_EQ(a.dequeue()->lineVa, 0x2000u);
-}
-
 TEST_F(TimingFixture, NonMonotonicAdvanceIsSafe)
 {
     // The core issues loads at register-ready times that are not

@@ -34,8 +34,8 @@ _STAT_TYPES = {"Scalar", "Distribution", "StatGroup"}
 # Mutating entry points of simulator-side objects. Names are chosen
 # to be specific to the simulator's interfaces so container methods
 # (insert/erase on a sink-local std::map) do not false-positive.
-_MUTATORS = {"allocate", "release", "promote", "requeueFront",
-             "extractPrefetch", "reconfigure", "resetAll", "sample",
+_MUTATORS = {"allocate", "release", "promote", "extractPrefetch",
+             "reconfigure", "resetAll", "sample",
              "noteIssued", "noteUseful", "observeMiss",
              "scanAndEnqueue", "enqueuePrefetch", "issuePrefetch",
              "completeFill", "drainAll", "drainPrefetches",

@@ -27,7 +27,7 @@ struct ChaseRig
     SimConfig cfg;
     StatGroup stats;
     BackingStore store;
-    FrameAllocator frames{0, 48 * 1024, true, 42};
+    FrameAllocator frames{0, 48 * 1024, true};
     PageTable pt{store, frames};
     HeapAllocator heap{store, pt, frames};
     Rng rng{7};

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <string>
 
 #include "snapshot/ckpt_io.hh"
 
@@ -78,13 +77,6 @@ BackingStore::readLine(Addr pa, std::uint8_t *out) const
         std::memset(out, 0, lineBytes);
 }
 
-void
-BackingStore::write(Addr pa, const std::uint8_t *src, Addr len)
-{
-    for (Addr i = 0; i < len; ++i)
-        write8(pa + i, src[i]);
-}
-
 std::vector<Addr>
 BackingStore::pages() const
 {
@@ -107,22 +99,6 @@ BackingStore::digest() const
     }
     return snap::chunkSum(pairs.data(),
                           pairs.size() * sizeof(std::uint64_t));
-}
-
-void
-BackingStore::saveState(snap::Writer &w) const
-{
-    w.u64(frames.size());
-    w.u64(digest());
-}
-
-void
-BackingStore::loadState(snap::Reader &r)
-{
-    r.expectU64(frames.size(), "materialized frame count");
-    if (r.u64() != digest())
-        r.fail("memory image differs from this machine's (checkpoint "
-               "written by another build of the workload builders?)");
 }
 
 } // namespace cdp

@@ -24,12 +24,6 @@
 namespace cdp
 {
 
-namespace snap
-{
-class Writer;
-class Reader;
-} // namespace snap
-
 /**
  * Lazily allocated, frame-granular physical memory. Reads of frames
  * that were never written return zero bytes, mirroring a zero-filled
@@ -63,9 +57,6 @@ class BackingStore
      */
     void readLine(Addr pa, std::uint8_t *out) const;
 
-    /** Write @p len bytes from @p src starting at @p pa. */
-    void write(Addr pa, const std::uint8_t *src, Addr len);
-
     /** Number of frames that have been materialized. */
     std::size_t framesTouched() const { return frames.size(); }
 
@@ -97,19 +88,6 @@ class BackingStore
      * in ascending page order (DESIGN.md §11).
      */
     std::uint64_t digest() const;
-
-    /** Serialize the materialized frame count and digest(). */
-    void saveState(snap::Writer &w) const;
-
-    /**
-     * Verify that this store holds the checkpointed memory image:
-     * refuse a frame count or digest() that differs from the saved
-     * one, naming STOR. Nothing is written, added or dropped. Nothing
-     * writes simulated memory after construction, so any machine
-     * built from the same guarded config by the same code holds the
-     * saver's image.
-     */
-    void loadState(snap::Reader &r);
 
   private:
     using Frame = std::array<std::uint8_t, pageBytes>;
@@ -143,11 +121,9 @@ class BackingStore
 
     /** Page base address -> frame. */
     LineMap<Frame *> frames{0};
-    // cdplint: transient(chunks, chunkLeft) -- arena storage behind frames; the frames' contents travel through frames
     std::vector<std::unique_ptr<Frame[]>> chunks;
     std::size_t chunkLeft = 0; //!< unused frames in chunks.back()
 
-    // cdplint: transient(lastPage, lastFrame) -- one-entry memo over the frame index; only materialized frames are cached, and they never go away
     /**
      * The last frame find() returned: the page walker and the line
      * reads of one fill burst mostly revisit the same few pages.

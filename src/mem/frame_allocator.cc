@@ -2,15 +2,12 @@
 
 #include <numeric>
 
-#include "snapshot/ckpt_io.hh"
-
 namespace cdp
 {
 
 FrameAllocator::FrameAllocator(Addr base_pa, std::uint32_t frames,
-                               bool scatter, std::uint64_t seed)
-    : basePa(pageAlign(base_pa)), totalFrames(frames), scatter(scatter),
-      rng(seed)
+                               bool scatter)
+    : basePa(pageAlign(base_pa)), totalFrames(frames), scatter(scatter)
 {
     if (frames == 0)
         throw std::runtime_error("FrameAllocator: zero frames");
@@ -36,32 +33,6 @@ FrameAllocator::allocate()
             (a * idx + c) % totalFrames);
     }
     return basePa + idx * pageBytes;
-}
-
-void
-FrameAllocator::saveState(snap::Writer &w) const
-{
-    w.u64(basePa);
-    w.u64(totalFrames);
-    w.boolean(scatter);
-    w.u64(nextIndex);
-    w.rng(rng);
-}
-
-void
-FrameAllocator::loadState(snap::Reader &r)
-{
-    r.expectU64(basePa, "frame-allocator base");
-    r.expectU64(totalFrames, "frame-allocator capacity");
-    const bool savedScatter = r.boolean();
-    if (savedScatter != scatter)
-        r.fail("frame-allocator scatter mode mismatch");
-    const std::uint64_t idx = r.u64();
-    if (idx > totalFrames)
-        r.fail("frame-allocator nextIndex " + std::to_string(idx) +
-               " exceeds capacity " + std::to_string(totalFrames));
-    nextIndex = static_cast<std::uint32_t>(idx);
-    r.rng(rng);
 }
 
 } // namespace cdp

@@ -16,21 +16,14 @@
 #include <cstdint>
 #include <stdexcept>
 
-#include "common/rng.hh"
 #include "common/types.hh"
 
 namespace cdp
 {
 
-namespace snap
-{
-class Writer;
-class Reader;
-} // namespace snap
-
 /**
  * Allocates physical frames, either sequentially or in a scattered
- * (pseudo-random within a window) order.
+ * (fixed affine permutation) order.
  */
 class FrameAllocator
 {
@@ -39,10 +32,19 @@ class FrameAllocator
      * @param base_pa first physical address handed out (frame aligned)
      * @param frames number of frames available
      * @param scatter when true, hand frames out in shuffled order
-     * @param seed shuffle seed
      */
     FrameAllocator(Addr base_pa, std::uint32_t frames,
-                   bool scatter = true, std::uint64_t seed = 12345);
+                   bool scatter = true);
+
+    /**
+     * Accepts and ignores a seed: the scatter is a fixed affine
+     * permutation. perfbench/perfbench.cc still passes one.
+     */
+    FrameAllocator(Addr base_pa, std::uint32_t frames, bool scatter,
+                   std::uint64_t /*seed*/)
+        : FrameAllocator(base_pa, frames, scatter)
+    {
+    }
 
     /**
      * Allocate one frame.
@@ -54,18 +56,11 @@ class FrameAllocator
     std::uint32_t allocated() const { return nextIndex; }
     std::uint32_t capacity() const { return totalFrames; }
 
-    /** Serialize allocation progress (checkpointing). */
-    void saveState(snap::Writer &w) const;
-
-    /** Restore state; the allocator geometry must match. */
-    void loadState(snap::Reader &r);
-
   private:
     Addr basePa;
     std::uint32_t totalFrames;
     std::uint32_t nextIndex = 0;
     bool scatter;
-    Rng rng;
 };
 
 } // namespace cdp

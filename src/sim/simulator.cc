@@ -17,8 +17,7 @@ validated(const SimConfig &cfg)
 
 Simulator::Simulator(const SimConfig &cfg)
     : cfg(validated(cfg)),
-      frames(/*base_pa=*/0, cfg.physFrames, /*scatter=*/true,
-             cfg.workloadSeed ^ 0xabcdef),
+      frames(/*base_pa=*/0, cfg.physFrames, /*scatter=*/true),
       pageTable(store, frames)
 {
     heapAlloc = std::make_unique<HeapAllocator>(

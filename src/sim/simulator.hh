@@ -110,11 +110,13 @@ class Simulator
      * machine geometry, baseline-prefetcher knobs — must match the
      * checkpointing run exactly; the sweep-fork knobs (cdp.*,
      * adaptive.*, trace.*, run lengths) may differ, enabling
-     * warm-once / fork-many sweeps. The simulated memory is not in
-     * the checkpoint: this machine's must equal the saver's, which
-     * holds for any machine built from the same guarded config by
-     * the same code; STOR's digest refuses any other image before
-     * anything is applied. Throws snap::SnapshotError with a
+     * warm-once / fork-many sweeps. The memory layer (frames, page
+     * table, heaps) is not in the checkpoint: the constructor built
+     * it, and this machine's must equal the saver's, which holds for
+     * any machine built from the same guarded config by the same
+     * code. STOR's frame count, image digest and heap top refuse any
+     * other before anything is applied, and the restore changes
+     * nothing in the memory layer. Throws snap::SnapshotError with a
      * section-qualified diagnostic on any mismatch, corruption,
      * truncation, or version skew. Sections stream in checksummed
      * chunks, so a corrupt later chunk or section surfaces after the

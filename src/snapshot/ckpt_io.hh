@@ -51,7 +51,7 @@ namespace snap
 {
 
 /** Current checkpoint format version (bump on layout changes). */
-constexpr std::uint32_t formatVersion = 9;
+constexpr std::uint32_t formatVersion = 10;
 
 /** Most payload bytes one chunk carries. */
 constexpr std::size_t chunkBytes = std::size_t{64} << 10;

@@ -7,10 +7,7 @@
  * together. A checkpoint is a sequence of tagged sections:
  *
  *   CFG!  guarded configuration (name/value pairs, compared on load)
- *   STOR  BackingStore frame count + memory-image digest (verified)
- *   FRAM  FrameAllocator
- *   PGTB  PageTable roots (table content lives in the memory image)
- *   HEAP  HeapAllocator bump state
+ *   STOR  frame count, memory-image digest and heap top (verified)
  *   WKLD  workload generator (name-guarded)
  *   MSYS  MemorySystem (caches, TLB, prefetchers, arbiter ledger)
  *   CORE  OooCore pipeline + branch predictor
@@ -63,19 +60,9 @@ Simulator::saveCheckpoint(std::ostream &os) const
     w.endSection();
 
     w.beginSection("STOR");
-    store.saveState(w);
-    w.endSection();
-
-    w.beginSection("FRAM");
-    frames.saveState(w);
-    w.endSection();
-
-    w.beginSection("PGTB");
-    pageTable.saveState(w);
-    w.endSection();
-
-    w.beginSection("HEAP");
-    heapAlloc->saveState(w);
+    w.u64(store.framesTouched());
+    w.u64(store.digest());
+    w.u64(heapAlloc->heapTop());
     w.endSection();
 
     w.beginSection("WKLD");
@@ -114,20 +101,14 @@ Simulator::restoreCheckpoint(std::istream &is)
     }
     r.leaveSection();
 
+    // The constructor built the memory layer; STOR only verifies it
+    // and changes nothing (DESIGN.md §11).
     r.enterSection("STOR");
-    store.loadState(r);
-    r.leaveSection();
-
-    r.enterSection("FRAM");
-    frames.loadState(r);
-    r.leaveSection();
-
-    r.enterSection("PGTB");
-    pageTable.loadState(r);
-    r.leaveSection();
-
-    r.enterSection("HEAP");
-    heapAlloc->loadState(r);
+    r.expectU64(store.framesTouched(), "materialized frame count");
+    if (r.u64() != store.digest())
+        r.fail("memory image differs from this machine's (checkpoint "
+               "written by another build of the workload builders?)");
+    r.expectU64(heapAlloc->heapTop(), "heap top");
     r.leaveSection();
 
     r.enterSection("WKLD");

@@ -1,7 +1,5 @@
 #include "vm/page_table.hh"
 
-#include "snapshot/ckpt_io.hh"
-
 namespace cdp
 {
 
@@ -63,24 +61,6 @@ PageTable::walkPath(Addr va) const
     path.pteAddr = pageAlign(pde) + tblIndex(va) * 4;
     path.complete = true;
     return path;
-}
-
-void
-PageTable::saveState(snap::Writer &w) const
-{
-    w.u64(rootPa);
-    w.u64(_mappedPages);
-}
-
-void
-PageTable::loadState(snap::Reader &r)
-{
-    // The root frame is the first allocation of a freshly built
-    // simulator; a mismatch means the restore target was constructed
-    // differently from the checkpoint writer.
-    r.expectU64(rootPa, "page-table root frame");
-    _mappedPages = r.u64();
-    lastVPage = ~Addr{0}; // backing-store content was just replaced
 }
 
 } // namespace cdp

@@ -29,12 +29,6 @@
 namespace cdp
 {
 
-namespace snap
-{
-class Writer;
-class Reader;
-} // namespace snap
-
 /** Physical addresses touched by one hardware page walk. */
 struct WalkPath
 {
@@ -79,33 +73,22 @@ class PageTable
     /** Number of virtual pages currently mapped. */
     std::uint64_t mappedPages() const { return _mappedPages; }
 
-    /**
-     * Serialize bookkeeping (checkpointing). The table *content*
-     * lives in the BackingStore and is restored with it; only the
-     * root address (a determinism guard) and the mapped-page count
-     * travel here.
-     */
-    void saveState(snap::Writer &w) const;
-    void loadState(snap::Reader &r);
-
   private:
     static constexpr std::uint32_t entryValid = 0x1;
 
     static Addr dirIndex(Addr va) { return (va >> 22) & 0x3ff; }
     static Addr tblIndex(Addr va) { return (va >> 12) & 0x3ff; }
 
-    // cdplint: transient(store, frameAlloc) -- wiring references; the radix tree lives in the backing store, which checkpoints itself
     BackingStore &store;
     FrameAllocator &frameAlloc;
     Addr rootPa;
     std::uint64_t _mappedPages = 0;
 
-    // cdplint: transient(lastVPage, lastFrameBase) -- pure translation memo over the (invalidated-on-map) radix tree; rebuilt on demand, never architectural state
     /**
      * One-entry translate() memo: the functional (untimed) translate
      * path is hammered by the workload generators, which walk their
      * data structures through simulated memory. Holds only *positive*
-     * results; map() and loadState() invalidate it. Timed translation
+     * results; map() invalidates it. Timed translation
      * (TLB + walker) never goes through this.
      */
     mutable Addr lastVPage = ~Addr{0};

@@ -589,8 +589,12 @@ MixGen::saveState(snap::Writer &w) const
         src->saveState(w);
     }
     w.u64(auxiliaries.size());
-    for (const auto &aux : auxiliaries)
-        aux->saveState(w);
+    for (const auto &aux : auxiliaries) {
+        w.u64(aux->heapBase());
+        w.u32(aux->heapTop());
+        w.u32(aux->mappedEnd());
+        w.rng(aux->noiseRng());
+    }
 }
 
 void
@@ -603,8 +607,17 @@ MixGen::loadState(snap::Reader &r)
         src->loadState(r);
     }
     r.expectU64(auxiliaries.size(), "mix auxiliary-allocator count");
-    for (const auto &aux : auxiliaries)
-        aux->loadState(r);
+    for (const auto &aux : auxiliaries) {
+        r.expectU64(aux->heapBase(), "auxiliary heap base");
+        std::uint64_t s0 = 0;
+        std::uint64_t s1 = 0;
+        aux->noiseRng().getState(s0, s1);
+        if (r.u32() != aux->heapTop() || r.u32() != aux->mappedEnd() ||
+            r.u64() != s0 || r.u64() != s1)
+            r.fail("auxiliary heap at " +
+                   std::to_string(aux->heapBase()) +
+                   " differs from this machine's");
+    }
 }
 
 } // namespace cdp

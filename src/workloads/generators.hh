@@ -421,8 +421,10 @@ class MixGen : public UopSource
 
     /**
      * Serialize the mix RNG, every sub-source (name-guarded so a
-     * layout change fails loudly), and the adopted auxiliary
-     * allocators.
+     * layout change fails loudly), and the bump state of the adopted
+     * auxiliary allocators. Those heaps are built with the mix and
+     * never allocate again, so loadState() verifies their state
+     * instead of restoring it (DESIGN.md §11).
      */
     void saveState(snap::Writer &w) const override;
     void loadState(snap::Reader &r) override;

@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <cstring>
 #include <stdexcept>
-#include <string>
-
-#include "snapshot/ckpt_io.hh"
 
 namespace cdp
 {
@@ -134,58 +131,6 @@ HeapAllocator::write32(Addr va, std::uint32_t v)
         store.write8(translateOrThrow(va + i),
                      static_cast<std::uint8_t>(v >> (8 * i)));
     }
-}
-
-std::uint8_t
-HeapAllocator::read8(Addr va) const
-{
-    return store.read8(translateOrThrow(va));
-}
-
-void
-HeapAllocator::write8(Addr va, std::uint8_t v)
-{
-    store.write8(translateOrThrow(va), v);
-}
-
-void
-HeapAllocator::saveState(snap::Writer &w) const
-{
-    w.u64(base);
-    w.u32(top);
-    w.u32(mappedTo);
-    w.rng(rng);
-}
-
-void
-HeapAllocator::loadState(snap::Reader &r)
-{
-    r.expectU64(base, "heap base");
-    const Addr saved_top = r.u32();
-    const Addr saved_end = r.u32();
-    if (saved_top < base || saved_end < base)
-        r.fail("heap bump pointer below the heap base");
-    if (saved_top > saved_end)
-        r.fail("heap top " + std::to_string(saved_top) +
-               " above the heap mapped end " +
-               std::to_string(saved_end));
-    if (pageOffset(saved_end) != 0)
-        r.fail("heap mapped end " + std::to_string(saved_end) +
-               " not page-aligned");
-    // The page map is sized from the mapped end: bound it by what the
-    // (already restored) page table maps before allocating it.
-    const Addr pages = pageNumber(saved_end - base);
-    if (pages > table.mappedPages())
-        r.fail("heap mapped end " + std::to_string(saved_end) +
-               " spans " + std::to_string(pages) +
-               " pages, more than the " +
-               std::to_string(table.mappedPages()) +
-               " the page table maps");
-    top = saved_top;
-    mappedTo = saved_end;
-    // Sized to the restored mapped end; refills on first touch.
-    pageHost.assign(pages, nullptr);
-    r.rng(rng);
 }
 
 } // namespace cdp

@@ -39,12 +39,6 @@
 namespace cdp
 {
 
-namespace snap
-{
-class Writer;
-class Reader;
-} // namespace snap
-
 /** Default base of the simulated heap (upper 8 bits = 0x10). */
 constexpr Addr defaultHeapBase = 0x10000000;
 
@@ -120,23 +114,17 @@ class HeapAllocator
      */
     bool holds(Addr va, Addr bytes) const;
 
-    /** Read one byte. */
-    std::uint8_t read8(Addr va) const;
-
-    /** Write one byte. */
-    void write8(Addr va, std::uint8_t v);
-
     Addr heapBase() const { return base; }
     Addr heapTop() const { return top; }
     Addr bytesAllocated() const { return top - base; }
+    /** First unmapped heap address: [heapBase(), mappedEnd()) is mapped. */
+    Addr mappedEnd() const { return mappedTo; }
+    /** The alignment-noise RNG, drawn only by alloc(). */
+    const Rng &noiseRng() const { return rng; }
 
     BackingStore &backingStore() { return store; }
     PageTable &pageTable() { return table; }
     FrameAllocator &frameAllocator() { return frames; }
-
-    /** Serialize bump-pointer state + RNG (checkpointing). */
-    void saveState(snap::Writer &w) const;
-    void loadState(snap::Reader &r);
 
   private:
     Addr translateOrThrow(Addr va) const;
@@ -168,25 +156,22 @@ class HeapAllocator
     /** Enter @p host as the frame of @p va's page, if the map covers it. */
     void remember(Addr va, std::uint8_t *host) const;
 
-    // cdplint: transient(pageHost) -- dense page map over [base, mappedTo), filled on first touch; mappings are never unmapped and frames never move, and loadState() rebuilds it empty
     /**
      * Page map: slot i holds the host frame of heap page base + i *
      * pageBytes, or nullptr until a read32, write32 or hostSpan first
-     * reaches that page. ensureMapped() and loadState() size it to
-     * [base, mappedTo), 8 bytes a page (20 KB for a 10 MB heap). A
-     * page whose frame was never written stays out, so it keeps
-     * reading as zero without materializing a frame.
+     * reaches that page. ensureMapped() sizes it to [base, mappedTo),
+     * 8 bytes a page (20 KB for a 10 MB heap). A page whose frame was
+     * never written stays out, so it keeps reading as zero without
+     * materializing a frame.
      */
     mutable std::vector<std::uint8_t *> pageHost;
 
-    // cdplint: transient(store, table, frames) -- wiring references rebuilt by the restoring harness, not state
     BackingStore &store;
     PageTable &table;
     FrameAllocator &frames;
     Addr base;
     Addr top;
     Addr mappedTo; //!< first unmapped heap address
-    // cdplint: transient(alignNoise) -- construction-time policy knob; the restoring side's own config governs
     double alignNoise;
     Rng rng;
 };

@@ -74,15 +74,6 @@ TEST(BackingStore, ReadLineOfUntouchedMemoryIsZero)
         EXPECT_EQ(buf[i], 0u);
 }
 
-TEST(BackingStore, BulkWrite)
-{
-    BackingStore m;
-    std::uint8_t data[10] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
-    m.write(0x500, data, 10);
-    for (unsigned i = 0; i < 10; ++i)
-        EXPECT_EQ(m.read8(0x500 + i), data[i]);
-}
-
 TEST(BackingStore, FramesMaterializeLazily)
 {
     BackingStore m;

@@ -17,7 +17,7 @@ namespace
 struct BuildFixture : ::testing::Test
 {
     BackingStore store;
-    FrameAllocator frames{0, 32768, true, 9};
+    FrameAllocator frames{0, 32768, true};
     PageTable pt{store, frames};
     HeapAllocator heap{store, pt, frames};
     Rng rng{42};
@@ -200,7 +200,7 @@ TEST_P(ListShapes, AlwaysACompleteCycle)
 {
     const auto [nodes, node_bytes, run_len] = GetParam();
     BackingStore store;
-    FrameAllocator frames{0, 32768, true, 5};
+    FrameAllocator frames{0, 32768, true};
     PageTable pt{store, frames};
     HeapAllocator heap{store, pt, frames};
     Rng rng{7};

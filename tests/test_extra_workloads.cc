@@ -20,7 +20,7 @@ namespace
 struct ExtraFixture : ::testing::Test
 {
     BackingStore store;
-    FrameAllocator frames{0, 32768, true, 31};
+    FrameAllocator frames{0, 32768, true};
     PageTable pt{store, frames};
     HeapAllocator heap{store, pt, frames};
     Rng rng{13};

@@ -59,7 +59,7 @@ class FrameAllocatorScatter : public ::testing::TestWithParam<unsigned>
 TEST_P(FrameAllocatorScatter, NoDuplicatesAndInRange)
 {
     const unsigned frames = GetParam();
-    FrameAllocator fa(0, frames, true, 99);
+    FrameAllocator fa(0, frames, true);
     std::set<Addr> seen;
     for (unsigned i = 0; i < frames; ++i) {
         const Addr pa = fa.allocate();
@@ -76,7 +76,7 @@ INSTANTIATE_TEST_SUITE_P(Sizes, FrameAllocatorScatter,
 
 TEST(FrameAllocator, ScatterActuallyScatters)
 {
-    FrameAllocator fa(0, 1024, true, 7);
+    FrameAllocator fa(0, 1024, true);
     unsigned adjacent = 0;
     Addr prev = fa.allocate();
     for (unsigned i = 1; i < 1024; ++i) {

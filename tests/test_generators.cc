@@ -27,7 +27,7 @@ namespace
 struct GenFixture : ::testing::Test
 {
     BackingStore store;
-    FrameAllocator frames{0, 32768, true, 21};
+    FrameAllocator frames{0, 32768, true};
     PageTable pt{store, frames};
     HeapAllocator heap{store, pt, frames};
     Rng rng{77};
@@ -454,4 +454,69 @@ TEST_F(GenFixture, GraphWalkerRestoreRefusesACursorOutsideTheHeap)
     const Addr node = graph.nodes[9];
     GraphWalkGen gen(heap, std::move(graph), 0x7000, 4, {}, 5);
     expectCursorChecked(gen, heap, node, 32);
+}
+
+namespace
+{
+
+/** A source-less mix that adopted a 100-byte low-region heap. */
+struct AdoptingMix
+{
+    BackingStore store;
+    FrameAllocator frames{0, 64};
+    PageTable pt{store, frames};
+    MixGen mix{"mix", 3};
+    HeapAllocator *globals = nullptr;
+
+    AdoptingMix()
+    {
+        auto h = std::make_unique<HeapAllocator>(store, pt, frames,
+                                                 0x00200000, 0.0, 5);
+        h->alloc(100);
+        globals = h.get();
+        mix.adopt(std::move(h));
+    }
+
+    /** Restore from @p ckpt's WKLD; the error message, or "". */
+    std::string
+    restore(const std::string &ckpt)
+    {
+        std::istringstream is(ckpt);
+        snap::Reader r(is);
+        r.enterSection("WKLD");
+        try {
+            mix.loadState(r);
+        } catch (const snap::SnapshotError &e) {
+            return e.what();
+        }
+        return "";
+    }
+};
+
+} // namespace
+
+TEST(MixGen, RestoreVerifiesTheAdoptedHeaps)
+{
+    // An adopted heap is built with its mix and never allocates again:
+    // a restore checks its bump state and changes nothing, so a heap
+    // that allocated once more, inside its mapped page, is refused.
+    AdoptingMix saver;
+    std::ostringstream os;
+    snap::Writer w(os);
+    w.beginSection("WKLD");
+    saver.mix.saveState(w);
+    w.endSection();
+    w.finish();
+
+    AdoptingMix fork;
+    EXPECT_EQ(fork.restore(os.str()), "");
+    const Addr top = fork.globals->heapTop();
+    fork.globals->alloc(4);
+    EXPECT_EQ(fork.globals->mappedEnd(), saver.globals->mappedEnd());
+    const std::string err = fork.restore(os.str());
+    EXPECT_NE(err.find("auxiliary heap at " + std::to_string(0x00200000) +
+                       " differs from this machine's"),
+              std::string::npos)
+        << err;
+    EXPECT_EQ(fork.globals->heapTop(), top + 4);
 }

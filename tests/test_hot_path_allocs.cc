@@ -129,7 +129,7 @@ TEST(BuildAllocs, VerilogGateBuildIsOStructures)
     // never per node or per frame.
     const BenchmarkSpec &spec = findBenchmark("verilog-gate");
     BackingStore store;
-    FrameAllocator frames{0, 48 * 1024, true, 3};
+    FrameAllocator frames{0, 48 * 1024, true};
     PageTable pt{store, frames};
     HeapAllocator heap{store, pt, frames};
     const std::uint64_t before = allocations.load();

@@ -89,7 +89,7 @@ TEST(Invariants, HealthyComponentsPass)
     check::auditArbiter(arb, "arb");
 
     BackingStore store;
-    FrameAllocator frames(0, 256, /*scatter=*/false, 1);
+    FrameAllocator frames(0, 256, /*scatter=*/false);
     PageTable pt(store, frames);
     pt.map(0x10000000, 0x00400000);
     Tlb tlb(64, 4);
@@ -230,7 +230,7 @@ TEST(InvariantDeath, TlbEntryWithoutPageTableBacking)
 {
     REQUIRE_CHECKED_BUILD();
     BackingStore store;
-    FrameAllocator frames(0, 256, /*scatter=*/false, 1);
+    FrameAllocator frames(0, 256, /*scatter=*/false);
     PageTable pt(store, frames);
     pt.map(0x10000000, 0x00400000);
     Tlb tlb(64, 4);

@@ -24,7 +24,7 @@ struct MemSysFixture : ::testing::Test
     SimConfig cfg;
     StatGroup stats;
     BackingStore store;
-    FrameAllocator frames{0, 8192, true, 13};
+    FrameAllocator frames{0, 8192, true};
     PageTable pt{store, frames};
     HeapAllocator heap{store, pt, frames};
     std::unique_ptr<MemorySystem> mem;

@@ -454,19 +454,18 @@ TEST_F(SnapshotCorruption, VersionSkewIsRejectedWithBothVersions)
         << err;
 }
 
-TEST_F(SnapshotCorruption, FormatEightFileIsRejected)
+TEST_F(SnapshotCorruption, FormatNineFileIsRejected)
 {
-    // Format 8 carried every materialized frame in STOR; format 9
-    // carries the frame count and a digest of the memory image, so a
-    // format-8 file fails the version check instead of having its
-    // first page number read as a digest.
-    ASSERT_EQ(snap::formatVersion, 9u);
+    // Format 9 followed STOR with FRAM, PGTB and HEAP; format 10 drops
+    // them and adds the heap top to STOR, so a format-9 file fails the
+    // version check instead of being refused at STOR's length.
+    ASSERT_EQ(snap::formatVersion, 10u);
     std::string old = bytes;
-    old[8] = 8; // little-endian u32 right after the magic
+    old[8] = 9; // little-endian u32 right after the magic
     const std::string err = restoreError(old);
     EXPECT_NE(err.find("version skew"), std::string::npos) << err;
-    EXPECT_NE(err.find("file has version 8"), std::string::npos) << err;
-    EXPECT_NE(err.find("reads version 9"), std::string::npos) << err;
+    EXPECT_NE(err.find("file has version 9"), std::string::npos) << err;
+    EXPECT_NE(err.find("reads version 10"), std::string::npos) << err;
 }
 
 TEST_F(SnapshotCorruption, ChunkLengthOverTheLimitIsRefusedBeforeAnyRead)
@@ -857,9 +856,10 @@ TEST(SnapshotRoundTrip, RestoreVerifiesTheMemoryImage)
 
 TEST(SnapshotWriter, CheckpointLeavesTheMemoryImageOut)
 {
-    // STOR is 16 bytes, the frame count and the digest, however large
-    // the image: a warmed verilog-gate machine holds about 10 MB of
-    // frames and checkpoints in well under 1.5 MB.
+    // STOR is 24 bytes, the frame count, the digest and the heap top,
+    // however large the image: a warmed verilog-gate machine holds
+    // about 10 MB of frames and checkpoints in well under 1.5 MB. No
+    // other section carries memory-layer state.
     SimConfig c;
     c.workload = "verilog-gate";
     Simulator sim(c);
@@ -871,9 +871,60 @@ TEST(SnapshotWriter, CheckpointLeavesTheMemoryImageOut)
     const SectionFrame stor = findSection(ckpt, "STOR");
     ASSERT_EQ(stor.chunks.size(), 1u);
     const std::size_t at = stor.chunks[0];
-    EXPECT_EQ(loadLe(ckpt, at, 4), 16u);
+    EXPECT_EQ(loadLe(ckpt, at, 4), 24u);
     EXPECT_EQ(loadLe(ckpt, at + 4, 8), store.framesTouched());
     EXPECT_EQ(loadLe(ckpt, at + 12, 8), store.digest());
+    EXPECT_EQ(loadLe(ckpt, at + 20, 8), sim.heap().heapTop());
+
+    std::vector<std::string> tags;
+    for (std::size_t pos = 12; pos + 8 <= ckpt.size(); pos += 4) {
+        tags.push_back(ckpt.substr(pos, 4));
+        for (pos += 4; pos + 4 <= ckpt.size() && loadLe(ckpt, pos, 4);)
+            pos += 4 + loadLe(ckpt, pos, 4) + 8;
+    }
+    EXPECT_EQ(tags, (std::vector<std::string>{"CFG!", "STOR", "WKLD",
+                                               "MSYS", "CORE", "STAT",
+                                               "END!"}));
+}
+
+TEST(SnapshotRoundTrip, RestoreVerifiesTheHeapTop)
+{
+    // An allocation inside the heap's last mapped page maps nothing
+    // and writes nothing, so the frame count and the image digest
+    // cannot see it: only STOR's heap top refuses the restore.
+    SimConfig c;
+    c.workload = "speech";
+    Simulator saver(c);
+    const std::string ckpt = checkpointAfterWarmup(saver, 20'000);
+
+    Simulator fork(c);
+    HeapAllocator &heap = fork.heap();
+    const BackingStore &store = heap.backingStore();
+    const Addr top = heap.heapTop();
+    ASSERT_NE(pageOffset(top), 0u) << "the heap ends on a page boundary";
+    const std::size_t frames = store.framesTouched();
+    const std::uint64_t digest = store.digest();
+    const std::uint64_t mapped = heap.pageTable().mappedPages();
+    EXPECT_EQ(heap.alloc(3, 1), top);
+    EXPECT_EQ(store.framesTouched(), frames);
+    EXPECT_EQ(store.digest(), digest);
+    EXPECT_EQ(heap.pageTable().mappedPages(), mapped);
+
+    std::istringstream is(ckpt);
+    try {
+        fork.restoreCheckpoint(is);
+        ADD_FAILURE() << "a fork with another heap top was restored";
+    } catch (const snap::SnapshotError &e) {
+        const std::string err = e.what();
+        EXPECT_NE(err.find("checkpoint section 'STOR'"),
+                  std::string::npos)
+            << err;
+        EXPECT_NE(err.find("heap top mismatch: checkpoint has " +
+                           std::to_string(top) + ", this simulator has " +
+                           std::to_string(top + 3)),
+                  std::string::npos)
+            << err;
+    }
 }
 
 TEST(SnapshotWriter, CheckpointBytesAreDeterministic)

@@ -102,7 +102,7 @@ TEST(Suite, StructureSpecsAreConsistent)
 TEST(Suite, MakeBenchmarkProducesRunnableSource)
 {
     BackingStore store;
-    FrameAllocator frames{0, 48 * 1024, true, 3};
+    FrameAllocator frames{0, 48 * 1024, true};
     PageTable pt{store, frames};
     HeapAllocator heap{store, pt, frames};
     auto src = makeBenchmark(findBenchmark("b2c"), heap, 1);
@@ -117,7 +117,7 @@ TEST(Suite, EveryBenchmarkBuildsAndEmits)
 {
     for (const auto &s : table2Suite()) {
         BackingStore store;
-        FrameAllocator frames{0, 48 * 1024, true, 3};
+        FrameAllocator frames{0, 48 * 1024, true};
         PageTable pt{store, frames};
         HeapAllocator heap{store, pt, frames};
         auto src = makeBenchmark(s, heap, 7);

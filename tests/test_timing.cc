@@ -21,7 +21,7 @@ struct TimingFixture : ::testing::Test
     SimConfig cfg;
     StatGroup stats;
     BackingStore store;
-    FrameAllocator frames{0, 8192, true, 77};
+    FrameAllocator frames{0, 8192, true};
     PageTable pt{store, frames};
     HeapAllocator heap{store, pt, frames};
     std::unique_ptr<MemorySystem> mem;

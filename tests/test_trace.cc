@@ -269,7 +269,7 @@ TEST_F(TraceFixture, CapturedWorkloadReplaysIdentically)
 {
     // Capture a real generator's stream, then replay it and compare.
     BackingStore store;
-    FrameAllocator frames{0, 8192, true, 3};
+    FrameAllocator frames{0, 8192, true};
     PageTable pt{store, frames};
     HeapAllocator heap{store, pt, frames};
     Rng rng{5};

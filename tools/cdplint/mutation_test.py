@@ -50,8 +50,8 @@ MUTATIONS = [
      "enqueuedCount", "w.u64(enqueuedCount);"),
     ("AdaptiveVamController", "src/core/adaptive_vam.cc",
      "issuedInEpoch", "w.u64(issuedInEpoch);"),
-    ("HeapAllocator", "src/workloads/heap_allocator.cc", "mappedTo",
-     "w.u32(mappedTo);"),
+    ("OooCore", "src/cpu/ooo_core.cc", "fetchStalledUntil",
+     "w.u64(fetchStalledUntil);"),
     ("MemorySystem", "src/sim/memory_system.cc", "lastDrain",
      "w.u64(lastDrain);"),
 ]
@@ -78,7 +78,7 @@ CFG_MUTATIONS = [
     # writers: the raw memsys->saveState inside resurfaces.
     ("quiesce-before-snapshot", "src/snapshot/snapshot.cc",
      "// cdplint: requires_quiesced(memsys)", "all",
-     {("src/snapshot/snapshot.cc", 86)}),
+     {("src/snapshot/snapshot.cc", 73)}),
     # Delete the lock acquisition in ~ThreadPool: the guarded
     # 'stopping' write right below it goes bare.
     ("lock-discipline", "src/runner/thread_pool.cc",
